@@ -50,6 +50,17 @@ def _bits(vertex) -> str:
     return "".join(str(b) for b in vertex) if vertex else "()"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolelab",
@@ -58,19 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument(
         "--max-vars",
-        type=int,
+        type=_positive_int,
         default=None,
         help="variable cap for vertex enumeration (default 20)",
     )
     parser.add_argument(
         "--max-universe",
-        type=int,
+        type=_positive_int,
         default=None,
         help="universe size cap for class algebras (default 5)",
     )
     parser.add_argument(
         "--max-model-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="carrier size cap for model search (default 4)",
     )
@@ -95,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="derivation trace file to check")
 
     p = sub.add_parser("embed", help="verify the indicator-vector embedding")
-    p.add_argument("--boole", type=int, required=True, metavar="N", help="universe size")
+    p.add_argument("--boole", type=_positive_int, required=True, metavar="N", help="universe size")
 
     p = sub.add_parser("model-search", help="search for a total model of a theory")
     p.add_argument("theory")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
 
     p = sub.add_parser("counterexample", help="replay a stock counterexample")
     p.add_argument("which", choices=("intro", "cx"))

@@ -9,9 +9,20 @@ tuples run row-major in carrier order; candidate values are tried in
 carrier order.  The first completed table in depth-first order is the
 model returned, which makes every search result reproducible.
 
-Integer literals outside {0, 1} are desugared into repeated addition of
-the unit constant before searching, since a total model interprets only
-the ring signature.
+The search fills one table cell (a slot) at a time and prunes a branch
+as soon as some ground instance of a sentence is violated.  Each open
+instance waits on one undefined cell its evaluation stops at; filling a
+slot re-checks only the instances waiting on that slot, and those still
+open move to the list of their new blocking cell until the search
+backtracks.  An instance can be violated only once every cell on its
+evaluation paths is defined, so every violation is still found at the
+node that completes it: the search tree and the order of the yielded
+models are those of re-checking every open instance after every slot.
+
+Integer literals outside {0, 1} are searched as repeated addition of
+the unit constant, since a total model interprets only the ring
+signature; literals above ``MAX_LITERAL`` are refused before any
+instance is built.
 """
 
 from __future__ import annotations
@@ -21,10 +32,16 @@ from dataclasses import dataclass
 
 from .algebra import FinitePartialAlgebra, search_embedding
 from .errors import CapExceeded
-from .horn import FALSUM, Delta, HornSentence, horn_sentence, identity
+from .horn import FALSUM, HornSentence, horn_sentence, identity
 from .terms import Add, IntLit, Mul, Sub, Term, Var
 
 MAX_MODEL_SIZE = 4
+MAX_LITERAL = 4096
+"""Largest integer literal a theory may use.  A literal n is evaluated
+as n - 1 additions of the unit, one table read each, so the cap bounds
+the program every ground instance carries."""
+
+_OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
 
 
 def _walk_ops(t: Term, out: list):
@@ -41,8 +58,7 @@ def _walk_ops(t: Term, out: list):
                     out.append(entry)
         return
     if isinstance(t, (Add, Sub, Mul)):
-        name = {Add: "+", Sub: "-", Mul: "*"}[type(t)]
-        entry = (name, 2)
+        entry = (_OP_NAMES[type(t)], 2)
         if entry not in out:
             out.append(entry)
         _walk_ops(t.left, out)
@@ -61,124 +77,143 @@ def signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
     return tuple(constants + rest)
 
 
-def _desugar(t: Term) -> Term:
-    if isinstance(t, IntLit) and t.value not in (0, 1):
-        acc: Term = IntLit(1)
-        for _ in range(t.value - 1):
-            acc = Add(acc, IntLit(1))
-        return acc
-    if isinstance(t, (Add, Sub, Mul)):
-        return type(t)(_desugar(t.left), _desugar(t.right))
-    return t
+# _decide's verdicts besides a blocking cell index (always >= 0)
+_SATISFIED = -1
+_VIOLATED = -2
 
 
-def _ground(t: Term, assignment: dict):
-    """Compile a term against an element assignment: int leaves for
-    variables, ('c', name) for constants, ('f', op, kids) for nodes."""
-    if isinstance(t, Var):
-        return assignment[t.name]
-    if isinstance(t, IntLit):
-        return ("c", str(t.value))
-    op = {Add: "+", Sub: "-", Mul: "*"}[type(t)]
-    return ("f", op, (_ground(t.left, assignment), _ground(t.right, assignment)))
+def _compile(t: Term, base: dict) -> tuple | str:
+    """Post-order program of table reads for one term of a sentence.
 
-
-def _eval_ground(g, tables):
-    if isinstance(g, int):
-        return g
-    if g[0] == "c":
-        return tables[g[1]].get(())
-    a = _eval_ground(g[2][0], tables)
-    if a is None:
-        return None
-    b = _eval_ground(g[2][1], tables)
-    if b is None:
-        return None
-    return tables[g[1]].get((a, b))
-
-
-class _Instance:
-    """One ground instance of a sentence, tracked during search until
-    the partial tables decide it."""
-
-    __slots__ = ("ops", "antecedents", "consequent")
-
-    def __init__(self, ops, antecedents, consequent):
-        self.ops = ops
-        self.antecedents = antecedents
-        self.consequent = consequent
-
-    def check(self, tables):
-        """True = satisfied for good, False = violated, None = open."""
-        if self.consequent is not None:
-            lv = _eval_ground(self.consequent[0], tables)
-            rv = _eval_ground(self.consequent[1], tables)
-            if lv is not None and rv is not None and lv == rv:
-                return True
+    Each instruction (b, x, y) reads cell b + x*size + y of the flat
+    table, where b is the first cell of the operation (``base``) and an
+    operand is a variable name, a carrier element once grounded, or ~j
+    for the value read by instruction j.  A constant is a nullary read
+    with both operands 0.  A bare variable compiles to its name alone.
+    The walk is iterative, so neither deep terms nor long literal
+    chains meet the interpreter's recursion limit.
+    """
+    prog: list = []
+    operands: list = []
+    todo: list = [(t, False)]
+    while todo:
+        node, children_done = todo.pop()
+        if isinstance(node, Var):
+            operands.append(node.name)
+        elif isinstance(node, IntLit):
+            if node.value > MAX_LITERAL:
+                raise CapExceeded(
+                    f"integer literal {node.value} exceeds the limit of {MAX_LITERAL}"
+                )
+            name = "1" if node.value > 1 else str(node.value)
+            prog.append((base[name], 0, 0))
+            unit = acc = ~(len(prog) - 1)
+            for _ in range(node.value - 1):
+                prog.append((base["+"], acc, unit))
+                acc = ~(len(prog) - 1)
+            operands.append(acc)
+        elif children_done:
+            y = operands.pop()
+            x = operands.pop()
+            prog.append((base[_OP_NAMES[type(node)]], x, y))
+            operands.append(~(len(prog) - 1))
         else:
-            lv = rv = None
-        open_antecedent = False
-        for gl, gr in self.antecedents:
-            av = _eval_ground(gl, tables)
-            bv = _eval_ground(gr, tables)
-            if av is None or bv is None:
-                open_antecedent = True
-            elif av != bv:
-                return True
-        if open_antecedent:
-            return None
-        if self.consequent is None:
-            return False
-        if lv is None or rv is None:
-            return None
-        return False  # antecedents all true, consequent defined and false
+            todo.append((node, True))
+            todo.append((node.right, False))
+            todo.append((node.left, False))
+    if not prog:
+        return operands[0]
+    return tuple(prog)
 
 
-def _ops_of_ground(g, out: set):
-    if isinstance(g, int):
-        return
-    if g[0] == "c":
-        out.add(g[1])
-        return
-    out.add(g[1])
-    _ops_of_ground(g[2][0], out)
-    _ops_of_ground(g[2][1], out)
-
-
-def _compile_instances(sentences, size) -> list[_Instance]:
-    instances = []
-    for s in sentences:
-        desugared_ante = tuple(
-            (_desugar(l), _desugar(r)) for l, r in s.antecedents
+def _ground(compiled, env: dict):
+    """Substitute elements for the variable operands of a compiled term;
+    instructions without variables are shared, not copied."""
+    if isinstance(compiled, str):
+        return env[compiled]
+    return tuple(
+        ins
+        if ins[1].__class__ is not str and ins[2].__class__ is not str
+        else (
+            ins[0],
+            env[ins[1]] if ins[1].__class__ is str else ins[1],
+            env[ins[2]] if ins[2].__class__ is str else ins[2],
         )
-        desugared_cons = (
+        for ins in compiled
+    )
+
+
+def _eval(g, cells: list, size: int) -> int:
+    """Value of a ground term (>= 0), or ~c for the first undefined cell
+    c its evaluation stops at."""
+    if g.__class__ is int:
+        return g
+    values = []
+    for b, x, y in g:
+        if x < 0:
+            x = values[~x]
+        if y < 0:
+            y = values[~y]
+        c = b + x * size + y
+        v = cells[c]
+        if v is None:
+            return ~c
+        values.append(v)
+    return values[-1]
+
+
+def _decide(instance, cells: list, size: int) -> int:
+    """_SATISFIED, _VIOLATED, or the index of a cell that must be filled
+    before the verdict can change to violated.
+
+    Any undefined cell a term's evaluation stops at leaves that term
+    undefined, and so the instance unviolated, until the cell is filled;
+    the latest such cell in slot order is returned, which postpones the
+    next re-check the most.
+    """
+    antecedents, consequent = instance
+    blocked = -1
+    if consequent is not None:
+        lv = _eval(consequent[0], cells, size)
+        rv = _eval(consequent[1], cells, size)
+        if lv >= 0 and rv >= 0:
+            if lv == rv:
+                return _SATISFIED
+        else:
+            blocked = max(~lv, ~rv)
+    for gl, gr in antecedents:
+        av = _eval(gl, cells, size)
+        bv = _eval(gr, cells, size)
+        if av >= 0 and bv >= 0:
+            if av != bv:
+                return _SATISFIED
+        else:
+            blocked = max(blocked, ~av, ~bv)
+    return _VIOLATED if blocked < 0 else blocked
+
+
+def _instances(sentences, base: dict, size: int):
+    """Every ground instance as (antecedents, consequent) of ground
+    programs; all sentences compile before any instance is built."""
+    compiled = [
+        (
+            tuple((_compile(l, base), _compile(r, base)) for l, r in s.antecedents),
             None
             if s.consequent is FALSUM
-            else (_desugar(s.consequent[0]), _desugar(s.consequent[1]))
+            else (_compile(s.consequent[0], base), _compile(s.consequent[1], base)),
+            s.vars,
         )
-        for values in itertools.product(range(size), repeat=len(s.vars)):
-            assignment = dict(zip(s.vars, values))
-            ante = tuple(
-                (_ground(l, assignment), _ground(r, assignment))
-                for l, r in desugared_ante
-            )
-            cons = (
+        for s in sentences
+    ]
+    for antecedents, consequent, names in compiled:
+        for values in itertools.product(range(size), repeat=len(names)):
+            env = dict(zip(names, values))
+            yield (
+                tuple((_ground(l, env), _ground(r, env)) for l, r in antecedents),
                 None
-                if desugared_cons is None
-                else (
-                    _ground(desugared_cons[0], assignment),
-                    _ground(desugared_cons[1], assignment),
-                )
+                if consequent is None
+                else (_ground(consequent[0], env), _ground(consequent[1], env)),
             )
-            ops: set = set()
-            for gl, gr in ante:
-                _ops_of_ground(gl, ops)
-                _ops_of_ground(gr, ops)
-            if cons is not None:
-                _ops_of_ground(cons[0], ops)
-                _ops_of_ground(cons[1], ops)
-            instances.append(_Instance(frozenset(ops), ante, cons))
-    return instances
 
 
 def enumerate_total_models(sentences, size: int, base_signature=()):
@@ -186,61 +221,58 @@ def enumerate_total_models(sentences, size: int, base_signature=()):
     size, in the canonical order described in the module docstring.
 
     Carrier elements are named e0, e1, ...  Sentences may be Horn
-    sentences over +, -, *, 0, 1 in any mix.
+    sentences over +, -, *, 0, 1 in any mix.  Raises CapExceeded for an
+    integer literal above ``MAX_LITERAL``.
     """
     signature = signature_of(sentences, base=base_signature)
+    names = tuple(f"e{i}" for i in range(size))
+    # slot i is the cell (op, argument names) filled at depth i; the
+    # name tuples are shared by every yielded model
     slots = []
+    base = {}
     for op, k in signature:
-        for args in itertools.product(range(size), repeat=k):
-            slots.append((op, args))
-    tables: dict[str, dict] = {op: {} for op, _ in signature}
+        base[op] = len(slots)
+        slots.extend((op, args) for args in itertools.product(names, repeat=k))
+    cells: list = [None] * len(slots)
+    waiting: list[list] = [[] for _ in slots]
 
     # settle instances that need no table at all (bare variable or
     # element equations); a violated one rules out every table
-    pending = []
-    for inst in _compile_instances(sentences, size):
-        r = inst.check(tables)
-        if r is False:
+    for inst in _instances(sentences, base, size):
+        d = _decide(inst, cells, size)
+        if d == _VIOLATED:
             return
-        if r is None:
-            pending.append(inst)
-
-    names = tuple(f"e{i}" for i in range(size))
+        if d >= 0:
+            waiting[d].append(inst)
 
     def snapshot() -> FinitePartialAlgebra:
-        named = {
-            op: {
-                tuple(names[a] for a in args): names[v]
-                for args, v in table.items()
-            }
-            for op, table in tables.items()
-        }
-        return FinitePartialAlgebra(names, signature, named)
+        tables: dict[str, dict] = {op: {} for op, _ in signature}
+        for (op, args), v in zip(slots, cells):
+            tables[op][args] = names[v]
+        return FinitePartialAlgebra(names, signature, tables)
 
-    def fill(i: int, open_instances):
+    def fill(i: int):
         if i == len(slots):
             yield snapshot()
             return
-        op, args = slots[i]
+        here = waiting[i]
         for value in range(size):
-            tables[op][args] = value
-            still_open = []
-            violated = False
-            for inst in open_instances:
-                if op not in inst.ops:
-                    still_open.append(inst)
-                    continue
-                r = inst.check(tables)
-                if r is False:
-                    violated = True
+            cells[i] = value
+            moved = []
+            for inst in here:
+                d = _decide(inst, cells, size)
+                if d >= 0:
+                    waiting[d].append(inst)
+                    moved.append(d)
+                elif d == _VIOLATED:
                     break
-                if r is None:
-                    still_open.append(inst)
-            if not violated:
-                yield from fill(i + 1, still_open)
-            del tables[op][args]
+            else:
+                yield from fill(i + 1)
+            for c in reversed(moved):
+                waiting[c].pop()
+        cells[i] = None
 
-    yield from fill(0, pending)
+    yield from fill(0)
 
 
 def search_total_model(sentences, size: int, max_size: int = MAX_MODEL_SIZE):

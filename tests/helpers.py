@@ -1,14 +1,18 @@
 """Shared generators and independent evaluators used across the suite.
 
 Everything here is deliberately written against the Term constructors
-only, so expected values never route through the code under test.
+only, so expected values never route through the code under test.  The
+one exception is the reference model search, which takes its operation
+order from ``models.signature_of`` because that order is what the
+differential tests hold fixed; its search loop is independent.
 """
 
 import itertools
 import random
 
 from boolelab.algebra import FinitePartialAlgebra
-from boolelab.horn import HornSentence
+from boolelab.horn import FALSUM, HornSentence
+from boolelab.models import signature_of
 from boolelab.terms import Add, IntLit, Mul, Sub, Term, Var
 
 
@@ -107,3 +111,163 @@ def strip_timing(text: str) -> str:
     stable."""
     lines = [ln for ln in text.splitlines() if not ln.startswith("time: ")]
     return "\n".join(lines)
+
+
+# ------------------------------------------------ reference model search
+#
+# The op-filtered search that ``models.enumerate_total_models`` replaced:
+# each ground instance is a recursive tree, and filling a slot re-checks
+# every open instance that mentions the slot's operation symbol.  The
+# search tree and the yield order must match the watched-cell search
+# exactly, which the differential tests in test_models.py assert.
+
+
+def _ref_desugar(t: Term) -> Term:
+    if isinstance(t, IntLit) and t.value not in (0, 1):
+        acc: Term = IntLit(1)
+        for _ in range(t.value - 1):
+            acc = Add(acc, IntLit(1))
+        return acc
+    if isinstance(t, (Add, Sub, Mul)):
+        return type(t)(_ref_desugar(t.left), _ref_desugar(t.right))
+    return t
+
+
+def _ref_ground(t: Term, assignment: dict):
+    if isinstance(t, Var):
+        return assignment[t.name]
+    if isinstance(t, IntLit):
+        return ("c", str(t.value))
+    op = {Add: "+", Sub: "-", Mul: "*"}[type(t)]
+    return (
+        "f",
+        op,
+        (_ref_ground(t.left, assignment), _ref_ground(t.right, assignment)),
+    )
+
+
+def _ref_eval_ground(g, tables):
+    if isinstance(g, int):
+        return g
+    if g[0] == "c":
+        return tables[g[1]].get(())
+    a = _ref_eval_ground(g[2][0], tables)
+    if a is None:
+        return None
+    b = _ref_eval_ground(g[2][1], tables)
+    if b is None:
+        return None
+    return tables[g[1]].get((a, b))
+
+
+def _ref_ops_of_ground(g, out: set):
+    if isinstance(g, int):
+        return
+    out.add(g[1])
+    if g[0] == "f":
+        _ref_ops_of_ground(g[2][0], out)
+        _ref_ops_of_ground(g[2][1], out)
+
+
+class _RefInstance:
+    def __init__(self, antecedents, consequent):
+        self.antecedents = antecedents
+        self.consequent = consequent
+        self.ops = set()
+        for gl, gr in antecedents + ((consequent,) if consequent else ()):
+            _ref_ops_of_ground(gl, self.ops)
+            _ref_ops_of_ground(gr, self.ops)
+
+    def check(self, tables):
+        """True = satisfied for good, False = violated, None = open."""
+        if self.consequent is not None:
+            lv = _ref_eval_ground(self.consequent[0], tables)
+            rv = _ref_eval_ground(self.consequent[1], tables)
+            if lv is not None and rv is not None and lv == rv:
+                return True
+        else:
+            lv = rv = None
+        open_antecedent = False
+        for gl, gr in self.antecedents:
+            av = _ref_eval_ground(gl, tables)
+            bv = _ref_eval_ground(gr, tables)
+            if av is None or bv is None:
+                open_antecedent = True
+            elif av != bv:
+                return True
+        if open_antecedent:
+            return None
+        if self.consequent is None:
+            return False
+        if lv is None or rv is None:
+            return None
+        return False
+
+
+def reference_total_models(sentences, size: int, base_signature=()):
+    """Every total model, in the canonical order, by the op-filtered
+    re-check of all open instances after each filled slot."""
+    signature = signature_of(sentences, base=base_signature)
+    slots = [
+        (op, args)
+        for op, k in signature
+        for args in itertools.product(range(size), repeat=k)
+    ]
+    tables: dict = {op: {} for op, _ in signature}
+    pending = []
+    for s in sentences:
+        ante = tuple((_ref_desugar(l), _ref_desugar(r)) for l, r in s.antecedents)
+        cons = (
+            None
+            if s.consequent is FALSUM
+            else (_ref_desugar(s.consequent[0]), _ref_desugar(s.consequent[1]))
+        )
+        for values in itertools.product(range(size), repeat=len(s.vars)):
+            env = dict(zip(s.vars, values))
+            inst = _RefInstance(
+                tuple((_ref_ground(l, env), _ref_ground(r, env)) for l, r in ante),
+                None
+                if cons is None
+                else (_ref_ground(cons[0], env), _ref_ground(cons[1], env)),
+            )
+            r = inst.check(tables)
+            if r is False:
+                return
+            if r is None:
+                pending.append(inst)
+    names = tuple(f"e{i}" for i in range(size))
+
+    def fill(i, open_instances):
+        if i == len(slots):
+            yield FinitePartialAlgebra(
+                names,
+                signature,
+                {
+                    op: {
+                        tuple(names[a] for a in args): names[v]
+                        for args, v in table.items()
+                    }
+                    for op, table in tables.items()
+                },
+            )
+            return
+        op, args = slots[i]
+        for value in range(size):
+            tables[op][args] = value
+            still_open = []
+            violated = False
+            for inst in open_instances:
+                if op not in inst.ops:
+                    still_open.append(inst)
+                    continue
+                r = inst.check(tables)
+                if r is False:
+                    violated = True
+                    break
+                if r is None:
+                    still_open.append(inst)
+            if not violated:
+                yield from fill(i + 1, still_open)
+            del tables[op][args]
+
+    yield from fill(0, pending)

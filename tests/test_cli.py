@@ -186,6 +186,41 @@ def test_model_search_cap(capsys):
     assert code == 3
 
 
+def test_model_search_long_literal(capsys, tmp_path):
+    # 3000 is searched as a chain of 2999 additions of the unit
+    theory = tmp_path / "t.thy"
+    theory.write_text("-> x = 3000\n")
+    code, out = invoke(capsys, ["model-search", str(theory), "--size", "1"])
+    assert code == 0
+    assert "op +/2:" in out
+    code, out = invoke(capsys, ["model-search", str(theory), "--size", "2"])
+    assert code == 1
+
+
+def test_model_search_literal_cap(capsys, tmp_path):
+    theory = tmp_path / "t.thy"
+    theory.write_text(f"-> x = {10**9}\n")
+    assert run(["model-search", str(theory), "--size", "1"]) == 3
+    assert "integer literal 1000000000 exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-vars", "-3", "normalize", "x"],
+        ["--max-universe", "0", "check", BARBARA],
+        ["--max-model-size", "-1", "model-search", COMMUTATIVE, "--size", "1"],
+        ["model-search", COMMUTATIVE, "--size", "0"],
+        ["embed", "--boole", "-2"],
+        ["embed", "--boole", "two"],
+    ],
+)
+def test_non_positive_numbers_exit_two(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err or "not an integer" in err
+
+
 def test_cap_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("BOOLELAB_MAX_MODEL_SIZE", "2")
     assert run(["model-search", COMMUTATIVE, "--size", "3"]) == 3

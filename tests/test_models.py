@@ -16,7 +16,7 @@ from boolelab.models import (
     signature_of,
 )
 from boolelab.terms import Add, Var, parse
-from helpers import random_plus_sentence, small_algebras
+from helpers import random_plus_sentence, reference_total_models, small_algebras
 
 x, y = Var("x"), Var("y")
 
@@ -37,6 +37,44 @@ def test_signature_desugars_large_literals():
 def test_signature_respects_base():
     sig = signature_of((COMMUTATIVE,), base=(("-", 2),))
     assert sig == (("-", 2), ("+", 2))
+
+
+def assert_same_sequence(sentences, size, base_signature=()):
+    """The watched-cell search yields exactly the reference's models, in
+    the reference's order; returns how many."""
+    got = list(enumerate_total_models(sentences, size, base_signature))
+    want = list(reference_total_models(sentences, size, base_signature))
+    assert [(m.signature, m.tables) for m in got] == [
+        (m.signature, m.tables) for m in want
+    ]
+    return len(got)
+
+
+@pytest.mark.parametrize("size, count", [(2, 8), (3, 729)])
+def test_commutative_order_matches_reference(size, count):
+    assert assert_same_sequence((COMMUTATIVE,), size) == count
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("base", [(), intro_algebra().signature])
+def test_intro_order_matches_reference(size, base):
+    assert assert_same_sequence(intro_laws(), size, base) == (1 if size == 1 else 0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_hailperin_matches_reference(size):
+    assert assert_same_sequence(hailperin_laws(), size) == 0
+
+
+def test_random_theories_match_reference():
+    rng = random.Random(1412)
+    sizes_with_models = set()
+    for _ in range(30):
+        theory = tuple(random_plus_sentence(rng) for _ in range(rng.randint(1, 3)))
+        size = rng.randint(1, 3)
+        if assert_same_sequence(theory, size):
+            sizes_with_models.add(size)
+    assert sizes_with_models == {1, 2, 3}
 
 
 def test_first_commutative_model_is_constant():
