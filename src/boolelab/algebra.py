@@ -7,6 +7,14 @@ every term appearing in it (consequent included) is defined; this
 relative reading is what separates partial-algebra consequence from
 consequence over total models.
 
+There is one term evaluator: ``_compile`` turns a term once into a flat
+post-order program of table reads over carrier indices, and ``_eval``
+runs it under an assignment, stopping at the first undefined cell.
+``eval_term``, ``holds`` (hence ``classes.semantic_consequence``) and
+the model search in ``models`` all run these programs.  Neither step
+recurses, and compiling checks every symbol, so an unknown operation
+or constant raises even where no evaluation would reach it.
+
 Algebra files look like::
 
     carrier: 0 1
@@ -23,9 +31,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
+from .errors import CapExceeded
 from .horn import FALSUM, HornSentence
-from .terms import Add, IntLit, Mul, Sub, Term, Var
+from .terms import Add, IntLit, Mul, Sub, Term, Var, variables
 
 
 class _Undefined:
@@ -81,16 +91,6 @@ class FinitePartialAlgebra:
                 if not set(args) <= elements or value not in elements:
                     raise ValueError(f"table for {op!r} strays outside the carrier")
 
-    def arity(self, op: str) -> int:
-        for name, k in self.signature:
-            if name == op:
-                return k
-        raise UnknownSymbolError(f"unknown operation symbol {op!r}")
-
-    def table(self, op: str) -> dict:
-        self.arity(op)
-        return self.tables.get(op, {})
-
     def defined_entries(self):
         """(op, args, value) triples, ops in signature order, entries in
         row-major carrier order."""
@@ -119,41 +119,127 @@ class FinitePartialAlgebra:
     def __hash__(self):
         return hash((self.carrier, self.signature))
 
+    @cached_property
+    def _layout(self) -> tuple[list, dict, dict]:
+        """(cells, base, index): the tables as one flat list of carrier
+        indices (None where undefined, binary tables row-major), each
+        symbol's first cell, and each element's carrier index.  The first
+        size^2 cells are never defined; a symbol whose declared arity does
+        not fit its use in terms reads there."""
+        index = {e: i for i, e in enumerate(self.carrier)}
+        cells: list = [None] * len(self.carrier) ** 2
+        base = {}
+        for op, k in self.signature:
+            if k != (2 if op in _OP_NAMES.values() else 0):
+                base[op] = _NOWHERE
+                continue
+            base[op] = len(cells)
+            table = self.tables.get(op, {})
+            cells.extend(
+                index[table[args]] if args in table else None
+                for args in itertools.product(self.carrier, repeat=k)
+            )
+        return cells, base, index
+
+
+_OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
+_NOWHERE = 0  # first cell of a partial algebra's never-defined block
+
+
+def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
+    """Post-order program of table reads for a term over ``names``.
+
+    Instruction (b, x, y) reads cell b + values[x]*size + values[y],
+    where b is the operation's first cell (``base``) and ``values`` is 0,
+    then the elements of ``names``, then each instruction's result.  A
+    constant reads with operands 0, 0; a bare variable compiles to its
+    index in ``values``.  A literal n >= 2 reads the constant named n,
+    or a never-defined cell; with ``max_sum`` it is n - 1 additions of
+    the unit instead, and n above ``max_sum`` raises CapExceeded.
+    Unknown symbols raise UnknownSymbolError here, before any
+    evaluation.  The walk is iterative, so depth is unlimited.
+    """
+    position = {name: i for i, name in enumerate(names, 1)}
+    prog: list = []
+    operands: list = []
+
+    def emit(ins) -> int:
+        prog.append(ins)
+        return len(names) + len(prog)
+
+    todo: list = [(t, False)]
+    while todo:
+        node, children_done = todo.pop()
+        if isinstance(node, Var):
+            if node.name not in position:
+                raise UnknownSymbolError(f"unbound variable {node.name!r}")
+            operands.append(position[node.name])
+        elif isinstance(node, IntLit):
+            name = str(node.value)
+            if max_sum is not None and node.value > 1:
+                if node.value > max_sum:
+                    raise CapExceeded(
+                        f"integer literal {node.value} exceeds the limit of {max_sum}"
+                    )
+                unit = acc = emit((base["1"], 0, 0))
+                for _ in range(node.value - 1):
+                    acc = emit((base["+"], acc, unit))
+                operands.append(acc)
+            elif name in base or node.value > 1:
+                operands.append(emit((base.get(name, _NOWHERE), 0, 0)))
+            else:
+                raise UnknownSymbolError(f"no constant {name!r} in the signature")
+        elif children_done:
+            y = operands.pop()
+            x = operands.pop()
+            operands.append(emit((base[_OP_NAMES[type(node)]], x, y)))
+        else:
+            op = _OP_NAMES.get(type(node))
+            if op is None:
+                raise TypeError(f"not a term: {node!r}")
+            if op not in base:
+                raise UnknownSymbolError(f"no operation {op!r} in the signature")
+            todo.append((node, True))
+            todo.append((node.right, False))
+            todo.append((node.left, False))
+    return tuple(prog) if prog else operands[0]
+
+
+def _eval(prog, env, cells: list, size: int) -> int:
+    """Carrier index of a compiled term's value under ``env`` (the
+    elements of its variables, in order), or ~c for the first undefined
+    cell c its evaluation stops at."""
+    if prog.__class__ is int:
+        return env[prog - 1]
+    values = [0, *env]
+    for b, x, y in prog:
+        c = b + values[x] * size + values[y]
+        v = cells[c]
+        if v is None:
+            return ~c
+        values.append(v)
+    return v
+
 
 def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
     """Strict evaluation: the value of t, or UNDEFINED.
 
-    Unknown variables and operation symbols raise; an integer literal
-    outside {0, 1} evaluates by a constant table of that name when the
+    Unbound variables and unknown operation symbols raise, whether or
+    not the evaluation would reach them; an integer literal outside
+    {0, 1} evaluates by a constant table of that name when the
     signature has one and is UNDEFINED otherwise.
     """
-    if isinstance(t, Var):
-        if t.name not in assignment:
-            raise UnknownSymbolError(f"unbound variable {t.name!r}")
-        value = assignment[t.name]
-        if value not in algebra.carrier:
-            raise ValueError(f"assignment sends {t.name!r} outside the carrier")
-        return value
-    if isinstance(t, IntLit):
-        name = str(t.value)
-        known = {op for op, _ in algebra.signature}
-        if name not in known:
-            if t.value in (0, 1):
-                raise UnknownSymbolError(f"no constant {name!r} in the signature")
-            return UNDEFINED
-        return algebra.tables.get(name, {}).get((), UNDEFINED)
-    if isinstance(t, (Add, Sub, Mul)):
-        op = {Add: "+", Sub: "-", Mul: "*"}[type(t)]
-        if all(op != name for name, _ in algebra.signature):
-            raise UnknownSymbolError(f"no operation {op!r} in the signature")
-        left = eval_term(algebra, t.left, assignment)
-        if left is UNDEFINED:
-            return UNDEFINED
-        right = eval_term(algebra, t.right, assignment)
-        if right is UNDEFINED:
-            return UNDEFINED
-        return algebra.tables.get(op, {}).get((left, right), UNDEFINED)
-    raise TypeError(f"not a term: {t!r}")
+    cells, base, index = algebra._layout
+    names = variables(t)
+    env = []
+    for name in names:
+        if name not in assignment:
+            raise UnknownSymbolError(f"unbound variable {name!r}")
+        if assignment[name] not in index:
+            raise ValueError(f"assignment sends {name!r} outside the carrier")
+        env.append(index[assignment[name]])
+    v = _eval(_compile(t, names, base), env, cells, len(algebra.carrier))
+    return UNDEFINED if v < 0 else algebra.carrier[v]
 
 
 @dataclass(frozen=True)
@@ -171,26 +257,30 @@ def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisfaction
     """Dom-relative satisfaction.
 
     Assignments range over the carrier in the sentence's variable
-    order; ones leaving any term of the sentence undefined are skipped.
-    The witness, if any, is the first falsifying assignment in that
-    enumeration, hence the lexicographically least one.
+    order; ones leaving any term of the sentence undefined are skipped,
+    and the terms of an assignment are evaluated only up to the first
+    undefined one.  The witness, if any, is the first falsifying
+    assignment in that enumeration, hence the lexicographically least
+    one.  Raises UnknownSymbolError if the sentence uses an operation
+    symbol the signature lacks.
     """
-    terms = sentence.all_terms()
+    cells, base, _ = algebra._layout
+    size = len(algebra.carrier)
+    programs = [_compile(t, sentence.vars, base) for t in sentence.all_terms()]
     n_ante = len(sentence.antecedents)
-    for values in itertools.product(algebra.carrier, repeat=len(sentence.vars)):
-        assignment = dict(zip(sentence.vars, values))
-        evaluated = []
-        for t in terms:
-            v = eval_term(algebra, t, assignment)
-            if v is UNDEFINED:
-                break
-            evaluated.append(v)
-        if len(evaluated) != len(terms):
-            continue  # outside the sentence's domain
-        if any(evaluated[2 * i] != evaluated[2 * i + 1] for i in range(n_ante)):
-            continue  # some antecedent is false
-        if sentence.consequent is FALSUM or evaluated[-2] != evaluated[-1]:
-            return SatisfactionVerdict(False, assignment)
+    for env in itertools.product(range(size), repeat=len(sentence.vars)):
+        values = []
+        for prog in programs:
+            v = _eval(prog, env, cells, size)
+            if v < 0:
+                break  # outside the sentence's domain
+            values.append(v)
+        else:
+            if any(values[2 * i] != values[2 * i + 1] for i in range(n_ante)):
+                continue  # some antecedent is false
+            if sentence.consequent is FALSUM or values[-2] != values[-1]:
+                witness = {n: algebra.carrier[e] for n, e in zip(sentence.vars, env)}
+                return SatisfactionVerdict(False, witness)
     return SatisfactionVerdict(True)
 
 

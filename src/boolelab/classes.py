@@ -13,13 +13,12 @@ operations; that target is computed analytically, never tabulated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import UNDEFINED, FinitePartialAlgebra, eval_term
+from .algebra import FinitePartialAlgebra, holds
 from .errors import CapExceeded
-from .terms import Term, variables
+from .horn import horn_sentence
 
 MAX_UNIVERSE = 5
 
@@ -198,31 +197,16 @@ def semantic_consequence(
     algebra with at most max_n points?
 
     Ground equations over class symbols; an assignment counts only if
-    every term of every equation is defined under it.
+    every term of every equation is defined under it.  This is
+    ``holds`` of the Horn sentence premisses -> conclusion, over the
+    sorted class symbols, on each universe size in turn.  A max_n above
+    the cap raises CapExceeded before any assignment is tried.
     """
-    names: set[str] = set()
-    for lhs, rhs in [*premisses, conclusion]:
-        names.update(variables(lhs))
-        names.update(variables(rhs))
-    ordered = tuple(sorted(names))
-    all_terms: list[Term] = []
-    for lhs, rhs in [*premisses, conclusion]:
-        all_terms += [lhs, rhs]
+    if max_n > cap:
+        raise CapExceeded(f"universe size {max_n} exceeds the limit of {cap}")
+    sentence = horn_sentence(premisses, conclusion)
     for n in range(1, max_n + 1):
-        ca = build_pu(n, cap)
-        algebra = ca.algebra
-        for masks in itertools.product(range(1 << n), repeat=len(ordered)):
-            assignment = {v: algebra.carrier[m] for v, m in zip(ordered, masks)}
-            values = []
-            for t in all_terms:
-                val = eval_term(algebra, t, assignment)
-                if val is UNDEFINED:
-                    break
-                values.append(val)
-            if len(values) != len(all_terms):
-                continue
-            if any(values[2 * i] != values[2 * i + 1] for i in range(len(premisses))):
-                continue
-            if values[-2] != values[-1]:
-                return SemanticVerdict(False, max_n, n, assignment)
+        verdict = holds(build_pu(n, cap).algebra, sentence)
+        if not verdict.holds:
+            return SemanticVerdict(False, max_n, n, verdict.witness)
     return SemanticVerdict(True, max_n)

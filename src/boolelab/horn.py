@@ -131,10 +131,6 @@ class Delta:
         m = {self.var: Var(name)}
         return tuple((substitute(l, m), substitute(r, m)) for l, r in self.atoms)
 
-    def sentences(self) -> tuple[HornSentence, ...]:
-        """The guard's atoms as standalone one-variable identities."""
-        return tuple(identity(l, r, (self.var,)) for l, r in self.atoms)
-
 
 def idempotence_guard(var: str = "x") -> Delta:
     """The guard x*x = x marking x as a class symbol."""

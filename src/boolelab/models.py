@@ -19,10 +19,13 @@ evaluation paths is defined, so every violation is still found at the
 node that completes it: the search tree and the order of the yielded
 models are those of re-checking every open instance after every slot.
 
-Integer literals outside {0, 1} are searched as repeated addition of
-the unit constant, since a total model interprets only the ring
-signature; literals above ``MAX_LITERAL`` are refused before any
-instance is built.
+Terms are compiled once per sentence by the evaluator in ``algebra``
+(``_compile``/``_eval``, see that module) against the flat cell list
+the search fills; a ground instance is its sentence's programs plus the
+elements of its variables.  Integer literals outside {0, 1} are
+searched as repeated addition of the unit constant, since a total model
+interprets only the ring signature; literals above ``MAX_LITERAL`` are
+refused before any instance is built.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FinitePartialAlgebra, search_embedding
+from .algebra import _OP_NAMES, FinitePartialAlgebra, _compile, _eval, search_embedding
 from .errors import CapExceeded
 from .horn import FALSUM, HornSentence, horn_sentence, identity
 from .terms import Add, IntLit, Mul, Sub, Term, Var
@@ -39,30 +42,29 @@ MAX_MODEL_SIZE = 4
 MAX_LITERAL = 4096
 """Largest integer literal a theory may use.  A literal n is evaluated
 as n - 1 additions of the unit, one table read each, so the cap bounds
-the program every ground instance carries."""
-
-_OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
+the program a sentence compiles to."""
 
 
 def _walk_ops(t: Term, out: list):
     """Record (name, arity) first occurrences, preorder, literals >= 2
-    contributing the unit constant and addition."""
-    if isinstance(t, IntLit):
-        if t.value in (0, 1):
-            entry = (str(t.value), 0)
+    contributing the unit constant and addition.  The walk is iterative."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, IntLit):
+            if node.value in (0, 1):
+                entries = ((str(node.value), 0),)
+            else:
+                entries = (("1", 0), ("+", 2))
+        elif isinstance(node, (Add, Sub, Mul)):
+            entries = ((_OP_NAMES[type(node)], 2),)
+            todo.append(node.right)
+            todo.append(node.left)
+        else:
+            continue
+        for entry in entries:
             if entry not in out:
                 out.append(entry)
-        else:
-            for entry in (("1", 0), ("+", 2)):
-                if entry not in out:
-                    out.append(entry)
-        return
-    if isinstance(t, (Add, Sub, Mul)):
-        entry = (_OP_NAMES[type(t)], 2)
-        if entry not in out:
-            out.append(entry)
-        _walk_ops(t.left, out)
-        _walk_ops(t.right, out)
 
 
 def signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
@@ -82,86 +84,6 @@ _SATISFIED = -1
 _VIOLATED = -2
 
 
-def _compile(t: Term, base: dict) -> tuple | str:
-    """Post-order program of table reads for one term of a sentence.
-
-    Each instruction (b, x, y) reads cell b + x*size + y of the flat
-    table, where b is the first cell of the operation (``base``) and an
-    operand is a variable name, a carrier element once grounded, or ~j
-    for the value read by instruction j.  A constant is a nullary read
-    with both operands 0.  A bare variable compiles to its name alone.
-    The walk is iterative, so neither deep terms nor long literal
-    chains meet the interpreter's recursion limit.
-    """
-    prog: list = []
-    operands: list = []
-    todo: list = [(t, False)]
-    while todo:
-        node, children_done = todo.pop()
-        if isinstance(node, Var):
-            operands.append(node.name)
-        elif isinstance(node, IntLit):
-            if node.value > MAX_LITERAL:
-                raise CapExceeded(
-                    f"integer literal {node.value} exceeds the limit of {MAX_LITERAL}"
-                )
-            name = "1" if node.value > 1 else str(node.value)
-            prog.append((base[name], 0, 0))
-            unit = acc = ~(len(prog) - 1)
-            for _ in range(node.value - 1):
-                prog.append((base["+"], acc, unit))
-                acc = ~(len(prog) - 1)
-            operands.append(acc)
-        elif children_done:
-            y = operands.pop()
-            x = operands.pop()
-            prog.append((base[_OP_NAMES[type(node)]], x, y))
-            operands.append(~(len(prog) - 1))
-        else:
-            todo.append((node, True))
-            todo.append((node.right, False))
-            todo.append((node.left, False))
-    if not prog:
-        return operands[0]
-    return tuple(prog)
-
-
-def _ground(compiled, env: dict):
-    """Substitute elements for the variable operands of a compiled term;
-    instructions without variables are shared, not copied."""
-    if isinstance(compiled, str):
-        return env[compiled]
-    return tuple(
-        ins
-        if ins[1].__class__ is not str and ins[2].__class__ is not str
-        else (
-            ins[0],
-            env[ins[1]] if ins[1].__class__ is str else ins[1],
-            env[ins[2]] if ins[2].__class__ is str else ins[2],
-        )
-        for ins in compiled
-    )
-
-
-def _eval(g, cells: list, size: int) -> int:
-    """Value of a ground term (>= 0), or ~c for the first undefined cell
-    c its evaluation stops at."""
-    if g.__class__ is int:
-        return g
-    values = []
-    for b, x, y in g:
-        if x < 0:
-            x = values[~x]
-        if y < 0:
-            y = values[~y]
-        c = b + x * size + y
-        v = cells[c]
-        if v is None:
-            return ~c
-        values.append(v)
-    return values[-1]
-
-
 def _decide(instance, cells: list, size: int) -> int:
     """_SATISFIED, _VIOLATED, or the index of a cell that must be filled
     before the verdict can change to violated.
@@ -171,19 +93,19 @@ def _decide(instance, cells: list, size: int) -> int:
     the latest such cell in slot order is returned, which postpones the
     next re-check the most.
     """
-    antecedents, consequent = instance
+    antecedents, consequent, env = instance
     blocked = -1
     if consequent is not None:
-        lv = _eval(consequent[0], cells, size)
-        rv = _eval(consequent[1], cells, size)
+        lv = _eval(consequent[0], env, cells, size)
+        rv = _eval(consequent[1], env, cells, size)
         if lv >= 0 and rv >= 0:
             if lv == rv:
                 return _SATISFIED
         else:
             blocked = max(~lv, ~rv)
     for gl, gr in antecedents:
-        av = _eval(gl, cells, size)
-        bv = _eval(gr, cells, size)
+        av = _eval(gl, env, cells, size)
+        bv = _eval(gr, env, cells, size)
         if av >= 0 and bv >= 0:
             if av != bv:
                 return _SATISFIED
@@ -193,27 +115,27 @@ def _decide(instance, cells: list, size: int) -> int:
 
 
 def _instances(sentences, base: dict, size: int):
-    """Every ground instance as (antecedents, consequent) of ground
-    programs; all sentences compile before any instance is built."""
+    """Every ground instance as (antecedents, consequent, env): the
+    sentence's compiled programs, shared by all its instances, and the
+    elements of its variables.  All sentences compile before any
+    instance is built."""
+    def pairs(equations, names):
+        return tuple(
+            (_compile(l, names, base, MAX_LITERAL), _compile(r, names, base, MAX_LITERAL))
+            for l, r in equations
+        )
+
     compiled = [
         (
-            tuple((_compile(l, base), _compile(r, base)) for l, r in s.antecedents),
-            None
-            if s.consequent is FALSUM
-            else (_compile(s.consequent[0], base), _compile(s.consequent[1], base)),
-            s.vars,
+            pairs(s.antecedents, s.vars),
+            None if s.consequent is FALSUM else pairs((s.consequent,), s.vars)[0],
+            len(s.vars),
         )
         for s in sentences
     ]
-    for antecedents, consequent, names in compiled:
-        for values in itertools.product(range(size), repeat=len(names)):
-            env = dict(zip(names, values))
-            yield (
-                tuple((_ground(l, env), _ground(r, env)) for l, r in antecedents),
-                None
-                if consequent is None
-                else (_ground(consequent[0], env), _ground(consequent[1], env)),
-            )
+    for antecedents, consequent, arity in compiled:
+        for env in itertools.product(range(size), repeat=arity):
+            yield antecedents, consequent, env
 
 
 def enumerate_total_models(sentences, size: int, base_signature=()):

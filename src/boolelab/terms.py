@@ -193,18 +193,18 @@ def pretty(t: Term) -> str:
 
 
 def variables(t: Term) -> tuple[str, ...]:
-    """Distinct variable names occurring in t, sorted."""
+    """Distinct variable names occurring in t, sorted.  The walk is
+    iterative, so any depth is fine."""
     seen: set[str] = set()
-    _collect_vars(t, seen)
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            seen.add(node.name)
+        elif isinstance(node, (Add, Sub, Mul)):
+            todo.append(node.right)
+            todo.append(node.left)
     return tuple(sorted(seen))
-
-
-def _collect_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
-    elif isinstance(t, (Add, Sub, Mul)):
-        _collect_vars(t.left, out)
-        _collect_vars(t.right, out)
 
 
 def substitute(t: Term, mapping: dict[str, Term]) -> Term:

@@ -2,18 +2,21 @@
 
 Everything here is deliberately written against the Term constructors
 only, so expected values never route through the code under test.  The
-one exception is the reference model search, which takes its operation
+exceptions are the reference model search, which takes its operation
 order from ``models.signature_of`` because that order is what the
-differential tests hold fixed; its search loop is independent.
+differential tests hold fixed, and the reference semantic check, which
+takes its class algebras from ``classes.build_pu``; their loops are
+independent.
 """
 
 import itertools
 import random
 
-from boolelab.algebra import FinitePartialAlgebra
+from boolelab.algebra import UNDEFINED, FinitePartialAlgebra, UnknownSymbolError
+from boolelab.classes import build_pu
 from boolelab.horn import FALSUM, HornSentence
 from boolelab.models import signature_of
-from boolelab.terms import Add, IntLit, Mul, Sub, Term, Var
+from boolelab.terms import Add, IntLit, Mul, Sub, Term, Var, variables
 
 
 def eval_int(t: Term, env) -> int:
@@ -271,3 +274,73 @@ def reference_total_models(sentences, size: int, base_signature=()):
             del tables[op][args]
 
     yield from fill(0, pending)
+
+
+# ----------------------------------------- reference evaluator and loop
+#
+# The recursive evaluator and the semantic-consequence loop that the
+# compiled programs of ``algebra._compile``/``algebra._eval`` replaced.
+# The reference evaluator looks symbols up only when its walk reaches
+# them, so it raises for an unknown symbol only if some evaluation gets
+# there; otherwise its values must match ``eval_term`` exactly.
+
+
+def reference_eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
+    """Strict recursive evaluation: the value of t, or UNDEFINED."""
+    if isinstance(t, Var):
+        if t.name not in assignment:
+            raise UnknownSymbolError(f"unbound variable {t.name!r}")
+        value = assignment[t.name]
+        if value not in algebra.carrier:
+            raise ValueError(f"assignment sends {t.name!r} outside the carrier")
+        return value
+    if isinstance(t, IntLit):
+        name = str(t.value)
+        known = {op for op, _ in algebra.signature}
+        if name not in known:
+            if t.value in (0, 1):
+                raise UnknownSymbolError(f"no constant {name!r} in the signature")
+            return UNDEFINED
+        return algebra.tables.get(name, {}).get((), UNDEFINED)
+    if isinstance(t, (Add, Sub, Mul)):
+        op = {Add: "+", Sub: "-", Mul: "*"}[type(t)]
+        if all(op != name for name, _ in algebra.signature):
+            raise UnknownSymbolError(f"no operation {op!r} in the signature")
+        left = reference_eval_term(algebra, t.left, assignment)
+        if left is UNDEFINED:
+            return UNDEFINED
+        right = reference_eval_term(algebra, t.right, assignment)
+        if right is UNDEFINED:
+            return UNDEFINED
+        return algebra.tables.get(op, {}).get((left, right), UNDEFINED)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_semantic_consequence(premisses, conclusion, max_n: int = 3):
+    """(valid, witness_n, witness) by enumerating bitmask assignments
+    over P(U) for n = 1..max_n with the reference evaluator."""
+    names: set[str] = set()
+    for lhs, rhs in [*premisses, conclusion]:
+        names.update(variables(lhs))
+        names.update(variables(rhs))
+    ordered = tuple(sorted(names))
+    all_terms: list[Term] = []
+    for lhs, rhs in [*premisses, conclusion]:
+        all_terms += [lhs, rhs]
+    for n in range(1, max_n + 1):
+        algebra = build_pu(n).algebra
+        for masks in itertools.product(range(1 << n), repeat=len(ordered)):
+            assignment = {v: algebra.carrier[m] for v, m in zip(ordered, masks)}
+            values = []
+            for t in all_terms:
+                val = reference_eval_term(algebra, t, assignment)
+                if val is UNDEFINED:
+                    break
+                values.append(val)
+            if len(values) != len(all_terms):
+                continue
+            if any(values[2 * i] != values[2 * i + 1] for i in range(len(premisses))):
+                continue
+            if values[-2] != values[-1]:
+                return False, n, assignment
+    return True, None, None

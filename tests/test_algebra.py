@@ -1,5 +1,7 @@
 """Partial-algebra evaluation, satisfaction, subalgebras, embeddings."""
 
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -17,11 +19,12 @@ from boolelab.algebra import (
     presentation,
     search_embedding,
 )
-from boolelab.classes import build_pu
+from boolelab.classes import build_pu, semantic_consequence
 from boolelab.counterexamples import intro_algebra, max_algebra, xor_algebra
 from boolelab.horn import horn_sentence, identity
-from boolelab.terms import IntLit, Var, parse
-from helpers import small_algebras
+from boolelab.models import search_total_model
+from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
+from helpers import reference_eval_term, small_algebras
 
 x, y = Var("x"), Var("y")
 
@@ -56,6 +59,114 @@ def test_eval_unknown_symbols():
 def test_eval_large_literal_is_undefined_without_table():
     # 2 is sugar, not a signature constant, so it simply fails to denote
     assert eval_term(intro_algebra(), IntLit(2), {}) is UNDEFINED
+
+
+def test_unknown_symbols_raise_before_evaluation():
+    # the sum is undefined at (0, 1), so evaluation never reaches the
+    # missing constant or product; compiling the term still rejects it
+    t = Add(Add(x, y), IntLit(0))
+    assert reference_eval_term(intro_algebra(), t, {"x": "0", "y": "1"}) is UNDEFINED
+    with pytest.raises(UnknownSymbolError):
+        eval_term(intro_algebra(), t, {"x": "0", "y": "1"})
+    # the first term is never defined, so no assignment reaches x*y
+    with pytest.raises(UnknownSymbolError):
+        holds(intro_algebra(), identity(IntLit(2), parse("x*y")))
+
+
+def _random_symbol_term(rng, names, depth, ops, literals):
+    if depth <= 1 or not ops or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return IntLit(rng.choice(literals))
+        return Var(rng.choice(names))
+    return rng.choice(ops)(
+        _random_symbol_term(rng, names, depth - 1, ops, literals),
+        _random_symbol_term(rng, names, depth - 1, ops, literals),
+    )
+
+
+def _random_algebra(rng):
+    """A partial algebra over the term symbols, some of them declared
+    with an arity that does not fit their use in terms."""
+    carrier = ("a", "b", "c")[: rng.randint(1, 3)]
+    signature = []
+    tables = {}
+    for op in ("+", "-", "*", "0", "1", "2", "3"):
+        if rng.random() < 0.2:
+            continue  # the symbol is unknown
+        k = rng.choice((0, 1, 2)) if rng.random() < 0.3 else (2 if op in "+-*" else 0)
+        signature.append((op, k))
+        tables[op] = {
+            args: rng.choice(carrier)
+            for args in itertools.product(carrier, repeat=k)
+            if rng.random() < 0.7
+        }
+    return FinitePartialAlgebra(carrier, tuple(signature), tables)
+
+
+def _symbols(algebra):
+    known = {op for op, _ in algebra.signature}
+    ops = [op for op, name in ((Add, "+"), (Sub, "-"), (Mul, "*")) if name in known]
+    literals = [n for n in (0, 1) if str(n) in known] + [2, 3, 4]
+    return ops, literals
+
+
+def test_eval_term_matches_reference_evaluator():
+    """Compiled evaluation against the recursive reference, on terms
+    whose symbols are all in the signature: the same element or
+    UNDEFINED under every assignment.  Literals 2..4 and symbols declared
+    with an arity that does not fit them must be UNDEFINED in both."""
+    rng = random.Random(20240611)
+    algebras = [(a, [Add], [2, 3]) for a in small_algebras()]
+    algebras.append((intro_algebra(), [Add], [2, 3]))
+    for _ in range(60):
+        a = _random_algebra(rng)
+        algebras.append((a, *_symbols(a)))
+    compared = defined = 0
+    for algebra, ops, literals in algebras:
+        for _ in range(12):
+            t = _random_symbol_term(rng, ("x", "y"), 4, ops, literals)
+            for values in itertools.product(algebra.carrier, repeat=2):
+                assignment = {"x": values[0], "y": values[1]}
+                expected = reference_eval_term(algebra, t, assignment)
+                assert eval_term(algebra, t, assignment) == expected, (algebra, t, assignment)
+                compared += 1
+                defined += expected is not UNDEFINED
+    assert compared > 5000
+    assert 0 < defined < compared
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x*y", "0", "0 + x", "1", "x - y", "(x + x)*y"],
+)
+def test_unknown_symbols_raise_in_both_evaluators(text):
+    t = parse(text)
+    assignment = {"x": "0", "y": "0"}
+    with pytest.raises(UnknownSymbolError):
+        reference_eval_term(intro_algebra(), t, assignment)
+    with pytest.raises(UnknownSymbolError):
+        eval_term(intro_algebra(), t, assignment)
+
+
+def test_deep_term_needs_no_recursion():
+    # 5000 nested sums and products, built without the parser, far past
+    # the interpreter's recursion limit
+    t = x
+    for i in range(5000):
+        t = Add(t, x) if i % 2 else Mul(x, t)
+    assert eval_term(build_pu(2).algebra, t, {"x": "{0}"}) is UNDEFINED
+    assert eval_term(build_pu(2).algebra, t, {"x": "{}"}) == "{}"
+    sums = x
+    for _ in range(5000):
+        sums = Add(sums, x)
+    assert eval_term(intro_algebra(), sums, {"x": "1"}) == "1"
+    assert holds(intro_algebra(), identity(sums, x)).holds
+    products = x
+    for _ in range(5000):
+        products = Mul(x, products)
+    assert semantic_consequence((), (products, x), max_n=2).valid
+    model = search_total_model([identity(sums, x)], 1)
+    assert model is not None and model.tables["+"] == {("e0", "e0"): "e0"}
 
 
 def test_holds_absorbing_laws():

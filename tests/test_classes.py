@@ -17,7 +17,7 @@ from boolelab.classes import (
 from boolelab.errors import CapExceeded
 from boolelab.polynomial import boole_oracle
 from boolelab.terms import parse
-from helpers import random_ground_argument
+from helpers import random_ground_argument, reference_semantic_consequence
 
 
 def independent_tables(n: int):
@@ -155,6 +155,34 @@ def test_semantic_witness_is_least():
 def test_semantic_cap():
     with pytest.raises(CapExceeded):
         semantic_consequence((), (parse("x"), parse("x")), max_n=9)
+
+
+def test_semantic_cap_is_checked_before_any_assignment():
+    # invalid already at n = 1, but the bound itself is over the cap
+    with pytest.raises(CapExceeded, match="universe size 9 exceeds the limit of 5"):
+        semantic_consequence((), (parse("x"), parse("0")), max_n=9)
+    with pytest.raises(CapExceeded, match="universe size 3 exceeds the limit of 2"):
+        semantic_consequence((), (parse("x"), parse("0")), max_n=3, cap=2)
+
+
+def test_semantic_matches_reference_loop():
+    """``holds`` on P(U) against the old enumeration loop over the
+    recursive evaluator: the same verdict, smallest universe and least
+    witness on seeded random arguments."""
+    rng = random.Random(8128)
+    outcomes = set()
+    for _ in range(300):
+        premisses, conclusion = random_ground_argument(rng)
+        verdict = semantic_consequence(premisses, conclusion, max_n=3)
+        expected = reference_semantic_consequence(premisses, conclusion, 3)
+        assert (verdict.valid, verdict.witness_n, verdict.witness) == expected, (
+            premisses,
+            conclusion,
+        )
+        outcomes.add(verdict.witness_n)
+    # P(U) with n points is the n-th power of P(U) with one point, with
+    # definedness componentwise, so a witness always exists at n = 1
+    assert outcomes == {None, 1}
 
 
 def test_rule_of_zero_and_one():

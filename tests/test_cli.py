@@ -163,6 +163,13 @@ def test_embed_verified(capsys):
     assert "indicator embedding: verified (12 entries)" in out
 
 
+def test_embed_json(capsys):
+    code, doc = invoke_json(capsys, ["embed", "--boole", "2"])
+    assert code == 0
+    assert doc["command"] == "embed"
+    assert doc["data"] == {"n": 2, "ok": True, "entries_checked": 36, "failing": None}
+
+
 def test_embed_cap_exceeded(capsys):
     code = run(["embed", "--boole", "9"])
     assert code == 3
@@ -179,6 +186,16 @@ def test_model_search_none(capsys):
     code, out = invoke(capsys, ["model-search", HAILPERIN_THY, "--size", "3"])
     assert code == 1
     assert "no total model of this size" in out
+
+
+def test_model_search_json(capsys):
+    code, doc = invoke_json(capsys, ["model-search", COMMUTATIVE, "--size", "2"])
+    assert code == 0
+    assert doc["data"]["found"] is True
+    assert doc["data"]["model"].startswith("carrier: e0 e1\nop +/2:\n")
+    code, doc = invoke_json(capsys, ["model-search", HAILPERIN_THY, "--size", "2"])
+    assert code == 1
+    assert doc["data"] == {"size": 2, "found": False}
 
 
 def test_model_search_cap(capsys):
@@ -219,6 +236,37 @@ def test_non_positive_numbers_exit_two(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "must be at least 1" in err or "not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("BOOLELAB_MAX_VARS", "0"),
+        ("BOOLELAB_MAX_UNIVERSE", "abc"),
+        ("BOOLELAB_MAX_MODEL_SIZE", "-1"),
+        ("BOOLELAB_MAX_MODEL_SIZE", "2.5"),
+    ],
+)
+def test_bad_cap_environment_exits_two(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert run(["normalize", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
+
+
+@pytest.mark.parametrize("conclusion", ["x = 0", "x = x"])
+def test_universe_bound_over_cap_exits_three_at_once(capsys, tmp_path, conclusion):
+    # one conclusion is invalid at n = 1 and one valid up to the cap;
+    # either way a bound over the cap is refused before the search
+    problem = tmp_path / "p.prob"
+    problem.write_text(f"conclude: {conclusion}\nmax_n: 9\n")
+    assert run(["check", str(problem), "--mode", "semantic"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "universe size 9 exceeds the limit of 5" in captured.err
+    assert run(["check", str(problem)]) == 3
+    capsys.readouterr()
 
 
 def test_cap_env_and_flag_precedence(capsys, monkeypatch):
@@ -266,6 +314,16 @@ def test_theorem_demo(capsys):
     assert "indicator embedding n=3: verified (120 entries)" in out
     assert "embedding search: none up to size 4" in out
     assert "x = y fails at x -> 0, y -> 1" in out
+
+
+def test_theorem_demo_json(capsys):
+    code, doc = invoke_json(capsys, ["theorem-demo"])
+    assert code == 0
+    assert [c["entries"] for c in doc["data"]["chi"]] == [12, 36, 120]
+    failure = doc["data"]["principles_failure"]
+    assert failure["embedding_found"] is False
+    assert failure["sigma_holds_in_all_models"] is True
+    assert failure["witness"] == {"x": "0", "y": "1"}
 
 
 def test_usage_errors_exit_two(capsys):
