@@ -174,8 +174,9 @@ def _cmd_interpret(args, caps):
     p = normalize(parse(args.term))
     verdict = interpretability(p)
     lines = [f"term: {args.term}", f"normal form: {p}", f"verdict: {verdict.kind}"]
+    coeff_at = expand(p).coeff_at if verdict.bad_vertices else {}
     for v in verdict.bad_vertices:
-        lines.append(f"bad constituent {_bits(v)}: coefficient {expand(p).coeff_at[v]}")
+        lines.append(f"bad constituent {_bits(v)}: coefficient {coeff_at[v]}")
     data = {
         "term": args.term,
         "verdict": verdict.kind,
@@ -515,20 +516,28 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if args.json:
-        report = {
-            "schema": "boolelab/1",
-            "command": args.command,
-            "status": "ok",
-            "exit_code": code,
-            "data": data,
-            "timing_ms": round(elapsed_ms, 3),
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        print(f"time: {elapsed_ms:.1f} ms")
+    try:
+        if args.json:
+            report = {
+                "schema": "boolelab/1",
+                "command": args.command,
+                "status": "ok",
+                "exit_code": code,
+                "data": data,
+                "timing_ms": round(elapsed_ms, 3),
+            }
+            print(json.dumps(report, indent=2))
+        else:
+            for line in lines:
+                print(line)
+            print(f"time: {elapsed_ms:.1f} ms")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # interpreter's flush at exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

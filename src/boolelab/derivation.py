@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapExceeded
 from .polynomial import (
     MultilinearPoly,
-    boole_oracle,
+    _differences,
     equation_difference,
     unexpand,
     ConstituentExpansion,
@@ -146,42 +145,33 @@ def certify_consequence(premisses, conclusion, max_vars: int = 20) -> Certificat
     """Search for a certificate; None exactly when the 0/1-vertex
     oracle rejects the consequence.
 
-    The construction works vertex by vertex: at each vertex where the
-    conclusion difference is nonzero, the premiss differences must span
-    its multiple, and the Bezout coefficients become the cofactor
-    values there.  The multiplier n is the least common multiple of the
-    local denominators, so it is minimal for this construction.
-    Cofactors are rebuilt from their vertex values and are not further
-    minimized.
+    One walk over the vertices evaluates the conclusion difference, and
+    the premiss differences only where it is nonzero: there they must
+    span a multiple of it, and their Bezout coefficients become the
+    cofactor values.  The walk returns None at the first vertex where
+    they all vanish instead, which is the oracle's witness.  The
+    multiplier n is the least common multiple of the local
+    denominators, so it is minimal for this construction.  Cofactors
+    are rebuilt from their vertex values by the Moebius transform
+    (``unexpand``) and are not further minimized.
     """
-    verdict = boole_oracle(premisses, conclusion, max_vars=max_vars)
-    if not verdict.valid:
-        return None
-    diffs = [equation_difference(eq) for eq in premisses]
-    f = equation_difference(conclusion)
-    pool = set(f.vars)
-    for g in diffs:
-        pool.update(g.vars)
-    names = tuple(sorted(pool))
-    grid = vertices(names)
-    per_vertex: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    names, f, gs = _differences(premisses, conclusion, max_vars)
+    support: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     n = 1
-    for v in grid:
+    for v in vertices(names):
         a = dict(zip(names, v))
-        gvals = [g.evaluate(a) for g in diffs]
         fval = f.evaluate(a)
-        per_vertex[v] = (fval, gvals)
-        if fval != 0:
-            d = math.gcd(*gvals) if gvals else 0
-            # oracle validity rules out d == 0 alongside fval != 0
-            n = math.lcm(n, d // math.gcd(d, fval))
-    cofactor_values: list[dict[tuple[int, ...], int]] = [dict() for _ in diffs]
-    for v in grid:
-        fval, gvals = per_vertex[v]
         if fval == 0:
-            for table in cofactor_values:
-                table[v] = 0
             continue
+        gvals = [g.evaluate(a) for g in gs]
+        d = math.gcd(*gvals)
+        if d == 0:
+            return None
+        n = math.lcm(n, d // math.gcd(d, fval))
+        support[v] = (fval, gvals)
+    grid = list(vertices(names))  # every table shares these vertex tuples
+    cofactor_values = [dict.fromkeys(grid, 0) for _ in gs]
+    for v, (fval, gvals) in support.items():
         d, coeffs = _bezout(gvals)
         scale = n * fval // d
         for table, c in zip(cofactor_values, coeffs):

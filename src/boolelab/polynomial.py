@@ -10,6 +10,7 @@ here, and evaluating that normal form on {0,1} vertices is the
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -210,7 +211,7 @@ class ConstituentExpansion:
     coeff_at: MappingProxyType
 
     def __post_init__(self):
-        expected = set(itertools.product((0, 1), repeat=len(self.vars)))
+        expected = set(vertices(self.vars))
         table = dict(self.coeff_at)
         if set(table) != expected:
             raise ValueError("expansion must cover every 0/1 vertex exactly once")
@@ -227,9 +228,10 @@ class ConstituentExpansion:
         return "\n".join(rows)
 
 
-def vertices(var_names) -> list[tuple[int, ...]]:
-    """All 0/1 vertices over the given variables, lexicographically."""
-    return list(itertools.product((0, 1), repeat=len(var_names)))
+def vertices(var_names) -> Iterator[tuple[int, ...]]:
+    """All 0/1 vertices over the given variables, lexicographically and
+    lazily: the first variable is the most significant bit."""
+    return itertools.product((0, 1), repeat=len(var_names))
 
 
 def expand(p: MultilinearPoly) -> ConstituentExpansion:
@@ -240,25 +242,28 @@ def expand(p: MultilinearPoly) -> ConstituentExpansion:
     return ConstituentExpansion(p.vars, table)
 
 
-def constituent(var_names, vertex) -> MultilinearPoly:
-    """Product of the variables set in ``vertex`` and the complements of
-    the rest; the indicator polynomial of that vertex."""
-    p = MultilinearPoly.const(1, var_names)
-    for name, bit in zip(var_names, vertex):
-        x = MultilinearPoly.variable(name)
-        p = p * (x if bit else (1 - x))
-    return p
-
-
 def unexpand(e: ConstituentExpansion) -> MultilinearPoly:
-    """Rebuild the polynomial as a coefficient-weighted sum of
-    constituents; inverse to expand."""
-    p = MultilinearPoly((), {})
-    for v in e.vertices():
-        c = e.coeff_at[v]
-        if c:
-            p = p + c * constituent(e.vars, v)
-    return p.with_vars(e.vars)
+    """Rebuild the polynomial from its vertex values; inverse to expand.
+
+    This is the Moebius transform on the subset lattice.  The 2^m
+    values are listed in vertex order, so a vertex's index has one bit
+    per variable.  Pass b subtracts from the value at every index with
+    bit b set the value at the index with that bit cleared; after the m
+    passes the value at a vertex is the coefficient of the monomial of
+    the variables set there.  O(m * 2^m) integer steps.
+    """
+    values = [e.coeff_at[v] for v in vertices(e.vars)]
+    for b in range(len(e.vars)):
+        step = 1 << b
+        for low in range(0, len(values), 2 * step):
+            for i in range(low + step, low + 2 * step):
+                values[i] -= values[i - step]
+    coeffs = {
+        frozenset(name for name, bit in zip(e.vars, v) if bit): c
+        for v, c in zip(vertices(e.vars), values)
+        if c
+    }
+    return MultilinearPoly(e.vars, coeffs)
 
 
 INTERPRETABLE = "interpretable"
@@ -310,6 +315,18 @@ def equation_difference(eq: tuple[Term, Term]) -> MultilinearPoly:
     return normalize(Sub(lhs, rhs))
 
 
+def _differences(premisses, conclusion, max_vars: int):
+    """(names, f, gs): the pooled variables in sorted order, the
+    conclusion difference and the premiss differences.  Raises
+    CapExceeded when more than max_vars variables occur."""
+    gs = [equation_difference(eq) for eq in premisses]
+    f = equation_difference(conclusion)
+    names = tuple(sorted(set(f.vars).union(*(g.vars for g in gs))))
+    if len(names) > max_vars:
+        raise CapExceeded(f"{len(names)} variables exceeds the limit of {max_vars}")
+    return names, f, gs
+
+
 def boole_oracle(premisses, conclusion, max_vars: int = 20) -> OracleVerdict:
     """Decide ground consequence by the rule of 0 and 1.
 
@@ -317,18 +334,9 @@ def boole_oracle(premisses, conclusion, max_vars: int = 20) -> OracleVerdict:
     every 0/1 vertex killing all premiss differences.  Exhaustive over
     2^m vertices, so m is capped (default 20).
     """
-    diffs = [equation_difference(eq) for eq in premisses]
-    f = equation_difference(conclusion)
-    pool = set(f.vars)
-    for g in diffs:
-        pool.update(g.vars)
-    names = sorted(pool)
-    if len(names) > max_vars:
-        raise CapExceeded(
-            f"{len(names)} variables exceeds the limit of {max_vars}"
-        )
+    names, f, gs = _differences(premisses, conclusion, max_vars)
     for v in vertices(names):
         a = dict(zip(names, v))
-        if all(g.evaluate(a) == 0 for g in diffs) and f.evaluate(a) != 0:
+        if all(g.evaluate(a) == 0 for g in gs) and f.evaluate(a) != 0:
             return OracleVerdict(False, a)
     return OracleVerdict(True)

@@ -4,18 +4,28 @@ Everything here is deliberately written against the Term constructors
 only, so expected values never route through the code under test.  The
 exceptions are the reference model search, which takes its operation
 order from ``models.signature_of`` because that order is what the
-differential tests hold fixed, and the reference semantic check, which
-takes its class algebras from ``classes.build_pu``; their loops are
-independent.
+differential tests hold fixed, the reference semantic check, which
+takes its class algebras from ``classes.build_pu``, and the reference
+vertex reconstruction, which computes with ``MultilinearPoly`` and
+takes its verdict from ``polynomial.boole_oracle`` and its local
+coefficients from ``derivation._bezout``; their loops are independent.
 """
 
 import itertools
+import math
 import random
 
 from boolelab.algebra import UNDEFINED, FinitePartialAlgebra, UnknownSymbolError
 from boolelab.classes import build_pu
+from boolelab.derivation import Certificate, _bezout
 from boolelab.horn import FALSUM, HornSentence
 from boolelab.models import signature_of
+from boolelab.polynomial import (
+    ConstituentExpansion,
+    MultilinearPoly,
+    boole_oracle,
+    equation_difference,
+)
 from boolelab.terms import Add, IntLit, Mul, Sub, Term, Var, variables
 
 
@@ -344,3 +354,70 @@ def reference_semantic_consequence(premisses, conclusion, max_n: int = 3):
             if values[-2] != values[-1]:
                 return False, n, assignment
     return True, None, None
+
+
+# ------------------------------------ reference vertex reconstruction
+#
+# The constituent-sum ``unexpand`` and the two-pass
+# ``certify_consequence`` (an oracle call, then a walk that evaluates
+# every difference at every vertex) that the Moebius transform and the
+# single walk replaced.  Their results must match exactly.
+
+
+def _ref_constituent(var_names, vertex) -> MultilinearPoly:
+    p = MultilinearPoly.const(1, var_names)
+    for name, bit in zip(var_names, vertex):
+        x = MultilinearPoly.variable(name)
+        p = p * (x if bit else (1 - x))
+    return p
+
+
+def reference_unexpand(e: ConstituentExpansion) -> MultilinearPoly:
+    """The coefficient-weighted sum of constituent indicator products."""
+    p = MultilinearPoly((), {})
+    for v in e.vertices():
+        c = e.coeff_at[v]
+        if c:
+            p = p + c * _ref_constituent(e.vars, v)
+    return p.with_vars(e.vars)
+
+
+def reference_certify_consequence(premisses, conclusion, max_vars: int = 20):
+    """Oracle first, then every difference at every vertex, Bezout
+    cofactor values and the constituent-sum rebuild."""
+    verdict = boole_oracle(premisses, conclusion, max_vars=max_vars)
+    if not verdict.valid:
+        return None
+    diffs = [equation_difference(eq) for eq in premisses]
+    f = equation_difference(conclusion)
+    pool = set(f.vars)
+    for g in diffs:
+        pool.update(g.vars)
+    names = tuple(sorted(pool))
+    grid = list(itertools.product((0, 1), repeat=len(names)))
+    per_vertex = {}
+    n = 1
+    for v in grid:
+        a = dict(zip(names, v))
+        gvals = [g.evaluate(a) for g in diffs]
+        fval = f.evaluate(a)
+        per_vertex[v] = (fval, gvals)
+        if fval != 0:
+            d = math.gcd(*gvals) if gvals else 0
+            n = math.lcm(n, d // math.gcd(d, fval))
+    cofactor_values = [dict() for _ in diffs]
+    for v in grid:
+        fval, gvals = per_vertex[v]
+        if fval == 0:
+            for table in cofactor_values:
+                table[v] = 0
+            continue
+        d, coeffs = _bezout(gvals)
+        scale = n * fval // d
+        for table, c in zip(cofactor_values, coeffs):
+            table[v] = c * scale
+    cofactors = tuple(
+        reference_unexpand(ConstituentExpansion(names, table))
+        for table in cofactor_values
+    )
+    return Certificate(n, cofactors)

@@ -366,3 +366,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "normal form: 0" in proc.stdout
+
+
+def test_interpret_expands_once(capsys, monkeypatch):
+    import boolelab.cli as cli
+
+    _, before = invoke(capsys, ["interpret", "a + b + c"])
+    calls = []
+    original = cli.expand
+
+    def counting_expand(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(cli, "expand", counting_expand)
+    code, after = invoke(capsys, ["interpret", "a + b + c"])
+    assert code == 1
+    assert len(calls) == 1
+    assert strip_timing(after) == strip_timing(before)
+    assert after.count("bad constituent") == 4
+
+
+@pytest.mark.parametrize("argv", [["--json", "theorem-demo"], ["normalize", "x"]])
+def test_closed_pipe_exits_without_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boolelab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=str(PKG_ROOT),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1)
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

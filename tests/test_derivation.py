@@ -1,6 +1,7 @@
 """Cofactor certificates and rule-checked derivation traces."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,9 +33,10 @@ from boolelab.derivation import (
     ring_normalize,
     verify_certificate,
 )
+from boolelab.errors import CapExceeded
 from boolelab.polynomial import boole_oracle, normalize
-from boolelab.terms import Add, IntLit, Mul, Var, parse
-from helpers import random_ground_argument
+from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
+from helpers import random_ground_argument, reference_certify_consequence
 
 x, y = Var("x"), Var("y")
 ZERO = IntLit(0)
@@ -121,6 +123,77 @@ def test_oracle_certificate_agreement_random():
             produced += 1
             assert verify_certificate(premisses, conclusion, cert).verified
     assert produced > 20
+
+
+def chain(m, conclusion_first=0, drop=None):
+    """v_i - v_i*v_{i+1} = 0 for every link but ``drop``, concluding
+    v_c - v_c*v_last = 0 for c = conclusion_first."""
+    v = [Var(f"v{i}") for i in range(m)]
+    premisses = tuple(
+        (Sub(v[i], Mul(v[i], v[i + 1])), ZERO) for i in range(m - 1) if i != drop
+    )
+    c = v[conclusion_first]
+    return premisses, (Sub(c, Mul(c, v[-1])), ZERO)
+
+
+def assert_same_certificate(premisses, conclusion):
+    got = certify_consequence(premisses, conclusion)
+    want = reference_certify_consequence(premisses, conclusion)
+    assert got == want
+    if got is not None:
+        assert [c.vars for c in got.cofactors] == [c.vars for c in want.cofactors]
+    return got
+
+
+def test_certify_matches_two_pass_reference_random():
+    rng = random.Random(1007)
+    produced, multipliers = 0, set()
+    for _ in range(300):
+        cert = assert_same_certificate(*random_ground_argument(rng))
+        if cert is not None:
+            produced += 1
+            multipliers.add(cert.n)
+    assert produced > 30
+    assert max(multipliers) > 1
+
+
+def test_certify_matches_two_pass_reference_chains():
+    for m in range(2, 9):
+        assert assert_same_certificate(*chain(m)) is not None
+        assert assert_same_certificate(*chain(m, conclusion_first=m - 1)) is not None
+        for k in range(m - 1):
+            assert assert_same_certificate(*chain(m, drop=k)) is None
+
+
+def test_certify_cap_matches_reference():
+    premisses, conclusion = chain(6)
+    messages = []
+    for certify in (certify_consequence, reference_certify_consequence):
+        with pytest.raises(CapExceeded) as info:
+            certify(premisses, conclusion, max_vars=5)
+        messages.append(str(info.value))
+    assert messages == ["6 variables exceeds the limit of 5"] * 2
+    assert certify_consequence(premisses, conclusion, max_vars=6) is not None
+
+
+def test_first_vertex_witness_walks_lazily():
+    # v0 + ... + v19 = 1 fails at the all-zero vertex, the first one
+    # visited, so neither the oracle nor certify should build the grid
+    # of 2^20 vertices.
+    total = Var("v0")
+    for i in range(1, 20):
+        total = Add(total, Var(f"v{i}"))
+    conclusion = (total, IntLit(1))
+    tracemalloc.start()
+    try:
+        verdict = boole_oracle((), conclusion)
+        cert = certify_consequence((), conclusion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.witness == {f"v{i}": 0 for i in range(20)}
+    assert cert is None
+    assert peak < 10 * 2**20
 
 
 def test_cx_trace_mode_split():

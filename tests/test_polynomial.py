@@ -19,7 +19,7 @@ from boolelab.polynomial import (
     unexpand,
 )
 from boolelab.terms import IntLit, Var, parse
-from helpers import eval_int, exhaustive_terms, random_term
+from helpers import eval_int, exhaustive_terms, random_term, reference_unexpand
 
 
 def nf(text: str) -> MultilinearPoly:
@@ -124,6 +124,26 @@ def test_expand_unexpand_inverse_random():
         e = expand(p)
         assert unexpand(e) == p
         assert expand(unexpand(e)) == e
+
+
+def test_unexpand_matches_constituent_sum():
+    # variables deliberately out of sorted order: bit k of a vertex
+    # belongs to the k-th listed variable, not the k-th in sorted order
+    rng = random.Random(1937)
+    names = ("f", "b", "e", "a", "d", "c")
+    checked = 0
+    for m in range(7):
+        grid = list(itertools.product((0, 1), repeat=m))
+        tables = [dict.fromkeys(grid, 0)]
+        tables += [{v: rng.choice((-4, -1, 1, 3)) * (v == hot) for v in grid} for hot in grid]
+        tables += [{v: rng.randint(-4, 4) for v in grid} for _ in range(12)]
+        for table in tables:
+            e = ConstituentExpansion(names[:m], table)
+            got, want = unexpand(e), reference_unexpand(e)
+            assert got == want
+            assert got.vars == want.vars
+            checked += 1
+    assert checked == 7 * 13 + 127
 
 
 def test_expansion_requires_all_vertices():
