@@ -172,13 +172,17 @@ def verify_chi_embedding(n: int, max_n: int = MAX_UNIVERSE) -> ChiVerdict:
 
 @dataclass(frozen=True)
 class SemanticVerdict:
-    """Validity across class algebras up to a universe-size bound.
+    """Validity in every class algebra.
 
-    ``valid`` means no counter-assignment was found for any universe
-    size up to ``max_n``; it is a bounded claim, not validity over all
-    universes.  The witness, if any, names the smallest universe and
-    the lexicographically least bitmask assignment that satisfies the
-    premisses, defines every term, and falsifies the conclusion.
+    ``valid`` holds for every universe, finite or infinite: P(U) on n
+    points is the n-th direct power of P(1) with definedness
+    componentwise, so a counter-assignment in any P(U) projects onto a
+    point where the conclusion fails, and P(1) embeds in every P(U) as
+    {empty, U}.  ``max_n`` is the universe bound the caller asked for,
+    kept for reports.  The witness, if any, is the lexicographically
+    least bitmask assignment in P(1) (``witness_n`` is 1) that
+    satisfies the premisses, defines every term, and falsifies the
+    conclusion; it is also the least at the smallest universe size.
     """
 
     valid: bool
@@ -194,19 +198,21 @@ def semantic_consequence(
     premisses, conclusion, max_n: int = 3, cap: int = MAX_UNIVERSE
 ) -> SemanticVerdict:
     """Does the conclusion follow from the premisses in every class
-    algebra with at most max_n points?
+    algebra?
 
     Ground equations over class symbols; an assignment counts only if
     every term of every equation is defined under it.  This is
     ``holds`` of the Horn sentence premisses -> conclusion, over the
-    sorted class symbols, on each universe size in turn.  A max_n above
-    the cap raises CapExceeded before any assignment is tried.
+    sorted class symbols, on P(1) alone: by the rule of 0 and 1 (see
+    SemanticVerdict) that decides every universe, so a verdict for
+    sizes 1..max_n is the same verdict.  A max_n above the cap raises
+    CapExceeded before any assignment is tried.
     """
+    if max_n < 1:
+        raise ValueError("the universe must be nonempty")
     if max_n > cap:
         raise CapExceeded(f"universe size {max_n} exceeds the limit of {cap}")
-    sentence = horn_sentence(premisses, conclusion)
-    for n in range(1, max_n + 1):
-        verdict = holds(build_pu(n, cap).algebra, sentence)
-        if not verdict.holds:
-            return SemanticVerdict(False, max_n, n, verdict.witness)
+    verdict = holds(build_pu(1, cap).algebra, horn_sentence(premisses, conclusion))
+    if not verdict.holds:
+        return SemanticVerdict(False, max_n, 1, verdict.witness)
     return SemanticVerdict(True, max_n)

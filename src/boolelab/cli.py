@@ -32,9 +32,16 @@ from .derivation import (
 from .errors import CapExceeded
 from .horn import format_equation, parse_theory
 from .models import embeds_into_mod_bounded, enumerate_total_models, search_total_model
-from .polynomial import boole_oracle, expand, interpretability, normalize, INTERPRETABLE
+from .polynomial import (
+    INTERPRETABLE,
+    boole_oracle,
+    check_var_cap,
+    expand,
+    interpretability,
+    normalize,
+)
 from .problems import parse_problem
-from .terms import ParseError, parse, pretty
+from .terms import ParseError, parse, pretty, variables
 
 DEFAULT_MAX_VARS = 20
 DEFAULT_MAX_UNIVERSE = 5
@@ -158,9 +165,16 @@ def _cmd_normalize(args, caps):
     return 0, lines, data
 
 
+def _capped_normal_form(text: str, max_vars: int):
+    """Normal form of a term whose vertex table is about to be listed:
+    the variable cap is checked first."""
+    term = parse(text)
+    check_var_cap(variables(term), max_vars)
+    return normalize(term)
+
+
 def _cmd_expand(args, caps):
-    p = normalize(parse(args.term))
-    e = expand(p)
+    e = expand(_capped_normal_form(args.term, caps["max_vars"]))
     lines = [f"term: {args.term}", "vars: " + " ".join(e.vars)]
     coeff_rows = []
     for v in e.vertices():
@@ -171,7 +185,7 @@ def _cmd_expand(args, caps):
 
 
 def _cmd_interpret(args, caps):
-    p = normalize(parse(args.term))
+    p = _capped_normal_form(args.term, caps["max_vars"])
     verdict = interpretability(p)
     lines = [f"term: {args.term}", f"normal form: {p}", f"verdict: {verdict.kind}"]
     coeff_at = expand(p).coeff_at if verdict.bad_vertices else {}

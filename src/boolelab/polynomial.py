@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import CapExceeded
-from .terms import Add, IntLit, Mul, Sub, Term, Var, variables
+from .terms import Add, IntLit, Mul, Sub, Term, Var
 
 Monomial = frozenset
 
@@ -37,15 +37,14 @@ class MultilinearPoly:
     __slots__ = ("vars", "_coeffs")
 
     def __init__(self, vars=(), coeffs=None):
-        vs = tuple(sorted(set(vars)))
+        names = set(vars)
         cleaned: dict[frozenset, int] = {}
         for mono, c in (coeffs or {}).items():
             mono = frozenset(mono)
-            if not mono <= set(vs):
-                vs = tuple(sorted(set(vs) | mono))
+            names.update(mono)
             if c:
                 cleaned[mono] = c
-        object.__setattr__(self, "vars", vs)
+        object.__setattr__(self, "vars", tuple(sorted(names)))
         object.__setattr__(self, "_coeffs", cleaned)
 
     def __setattr__(self, name, value):
@@ -173,28 +172,58 @@ class MultilinearPoly:
         return f"MultilinearPoly({self})"
 
 
+# Marks the point in normalize's walk where both operands of the node
+# below it on the stack are done.
+_COMBINE = object()
+
+
 def normalize(term: Term) -> MultilinearPoly:
     """Unique multilinear normal form of a term.
 
     Two terms get equal normal forms exactly when every commutative ring
     with unity makes them equal under every assignment of idempotent
-    elements to the variables.
+    elements to the variables.  ``vars`` lists every variable of the
+    term, cancelled ones included.
+
+    One post-order walk with an explicit stack, so any depth is fine.
+    Operands are plain {monomial: coefficient} dicts with no zero
+    entries; a sum or difference folds its right operand into its left
+    one in place, so a left-deep sum of k terms costs O(k).
     """
-    return _normalize(term).with_vars(variables(term))
-
-
-def _normalize(t: Term) -> MultilinearPoly:
-    if isinstance(t, Var):
-        return MultilinearPoly.variable(t.name)
-    if isinstance(t, IntLit):
-        return MultilinearPoly.const(t.value)
-    if isinstance(t, Add):
-        return _normalize(t.left) + _normalize(t.right)
-    if isinstance(t, Sub):
-        return _normalize(t.left) - _normalize(t.right)
-    if isinstance(t, Mul):
-        return _normalize(t.left) * _normalize(t.right)
-    raise TypeError(f"not a term: {t!r}")
+    names: set[str] = set()
+    values: list[dict[frozenset, int]] = []
+    todo: list = [term]
+    while todo:
+        node = todo.pop()
+        if node is _COMBINE:
+            op = todo.pop()
+            right = values.pop()
+            left = values[-1]
+            if isinstance(op, Mul):
+                product: dict[frozenset, int] = {}
+                for m1, c1 in left.items():
+                    for m2, c2 in right.items():
+                        mono = m1 | m2  # union = idempotent exponent collapse
+                        product[mono] = product.get(mono, 0) + c1 * c2
+                values[-1] = {m: c for m, c in product.items() if c}
+            else:
+                sign = 1 if isinstance(op, Add) else -1
+                for mono, c in right.items():
+                    c = left.get(mono, 0) + sign * c
+                    if c:
+                        left[mono] = c
+                    else:
+                        del left[mono]
+        elif isinstance(node, Var):
+            names.add(node.name)
+            values.append({frozenset((node.name,)): 1})
+        elif isinstance(node, IntLit):
+            values.append({frozenset(): node.value} if node.value else {})
+        elif isinstance(node, (Add, Sub, Mul)):
+            todo += (node, _COMBINE, node.right, node.left)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return MultilinearPoly(names, values[0])
 
 
 @dataclass(frozen=True)
@@ -205,15 +234,23 @@ class ConstituentExpansion:
     vertices are present.  This is the development of a class term into
     constituents: the coefficient at a vertex multiplies the product of
     the variables set there and the complements of the others.
+
+    Construction checks the table by count and key shape: 2^m distinct
+    keys, each a tuple of length m.  The entries of a key are not
+    checked one by one (that costs as much as listing every vertex);
+    ``expand`` and ``certify_consequence`` build their keys from
+    ``vertices``.
     """
 
     vars: tuple[str, ...]
     coeff_at: MappingProxyType
 
     def __post_init__(self):
-        expected = set(vertices(self.vars))
+        m = len(self.vars)
         table = dict(self.coeff_at)
-        if set(table) != expected:
+        if len(table) != 1 << m or not all(
+            type(v) is tuple and len(v) == m for v in table
+        ):
             raise ValueError("expansion must cover every 0/1 vertex exactly once")
         object.__setattr__(self, "coeff_at", MappingProxyType(table))
 
@@ -315,6 +352,13 @@ def equation_difference(eq: tuple[Term, Term]) -> MultilinearPoly:
     return normalize(Sub(lhs, rhs))
 
 
+def check_var_cap(names, max_vars: int) -> None:
+    """Raise CapExceeded when more than max_vars variables are named,
+    before any of the 2^m vertices is listed."""
+    if len(names) > max_vars:
+        raise CapExceeded(f"{len(names)} variables exceeds the limit of {max_vars}")
+
+
 def _differences(premisses, conclusion, max_vars: int):
     """(names, f, gs): the pooled variables in sorted order, the
     conclusion difference and the premiss differences.  Raises
@@ -322,8 +366,7 @@ def _differences(premisses, conclusion, max_vars: int):
     gs = [equation_difference(eq) for eq in premisses]
     f = equation_difference(conclusion)
     names = tuple(sorted(set(f.vars).union(*(g.vars for g in gs))))
-    if len(names) > max_vars:
-        raise CapExceeded(f"{len(names)} variables exceeds the limit of {max_vars}")
+    check_var_cap(names, max_vars)
     return names, f, gs
 
 

@@ -2,7 +2,7 @@
 
 Line-oriented, with '#' comments::
 
-    vars: x y z          # optional, fixes display order
+    vars: x y z          # accepted and ignored
     premiss: x - x*y = 0
     premiss: y - y*z = 0
     conclude: x - x*z = 0
@@ -10,7 +10,8 @@ Line-oriented, with '#' comments::
     max_n: 3             # universe bound for the semantic check
 
 Exactly one conclude line is required; premiss lines may repeat or be
-absent.
+absent.  A ``vars`` line is accepted for older files and ignored:
+variables are always listed in sorted order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .horn import Equation, parse_equation
 class Problem:
     premisses: tuple[Equation, ...]
     conclusion: Equation
-    vars: tuple[str, ...] | None = None
     mode: str = HAILPERIN
     max_n: int = 3
 
@@ -33,7 +33,6 @@ class Problem:
 def parse_problem(text: str) -> Problem:
     premisses = []
     conclusion = None
-    vars_decl = None
     mode = HAILPERIN
     max_n = 3
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -53,7 +52,7 @@ def parse_problem(text: str) -> Problem:
                     raise ValueError("second conclude line")
                 conclusion = parse_equation(value)
             elif key == "vars":
-                vars_decl = tuple(value.split())
+                pass
             elif key == "mode":
                 if value not in MODES:
                     raise ValueError(f"mode must be one of {MODES}")
@@ -68,4 +67,4 @@ def parse_problem(text: str) -> Problem:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if conclusion is None:
         raise ValueError("missing conclude line")
-    return Problem(tuple(premisses), conclusion, vars_decl, mode, max_n)
+    return Problem(tuple(premisses), conclusion, mode, max_n)

@@ -5,10 +5,12 @@ only, so expected values never route through the code under test.  The
 exceptions are the reference model search, which takes its operation
 order from ``models.signature_of`` because that order is what the
 differential tests hold fixed, the reference semantic check, which
-takes its class algebras from ``classes.build_pu``, and the reference
+takes its class algebras from ``classes.build_pu``, the reference
 vertex reconstruction, which computes with ``MultilinearPoly`` and
 takes its verdict from ``polynomial.boole_oracle`` and its local
-coefficients from ``derivation._bezout``; their loops are independent.
+coefficients from ``derivation._bezout``, and the reference normalizer,
+which computes with ``MultilinearPoly``'s operators; their loops are
+independent.
 """
 
 import itertools
@@ -354,6 +356,33 @@ def reference_semantic_consequence(premisses, conclusion, max_n: int = 3):
             if values[-2] != values[-1]:
                 return False, n, assignment
     return True, None, None
+
+
+# ------------------------------------------------ reference normalizer
+#
+# The recursive normalizer that ``polynomial.normalize``'s single
+# post-order walk replaced: one ``MultilinearPoly`` per node, combined
+# by the class's operators, then widened by a separate variable walk.
+# The differential tests hold ``vars``, the coefficient insertion order
+# and the printed form equal.
+
+
+def _ref_normalize(t: Term) -> MultilinearPoly:
+    if isinstance(t, Var):
+        return MultilinearPoly.variable(t.name)
+    if isinstance(t, IntLit):
+        return MultilinearPoly.const(t.value)
+    if isinstance(t, Add):
+        return _ref_normalize(t.left) + _ref_normalize(t.right)
+    if isinstance(t, Sub):
+        return _ref_normalize(t.left) - _ref_normalize(t.right)
+    if isinstance(t, Mul):
+        return _ref_normalize(t.left) * _ref_normalize(t.right)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_normalize(t: Term) -> MultilinearPoly:
+    return _ref_normalize(t).with_vars(variables(t))
 
 
 # ------------------------------------ reference vertex reconstruction

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from boolelab.algebra import holds
 from boolelab.classes import (
     IntVector,
     build_pu,
@@ -14,7 +15,9 @@ from boolelab.classes import (
     subset_name,
     verify_chi_embedding,
 )
+from boolelab.derivation import certify_consequence, verify_certificate
 from boolelab.errors import CapExceeded
+from boolelab.horn import horn_sentence
 from boolelab.polynomial import boole_oracle
 from boolelab.terms import parse
 from helpers import random_ground_argument, reference_semantic_consequence
@@ -165,6 +168,11 @@ def test_semantic_cap_is_checked_before_any_assignment():
         semantic_consequence((), (parse("x"), parse("0")), max_n=3, cap=2)
 
 
+def test_semantic_needs_a_universe():
+    with pytest.raises(ValueError, match="nonempty"):
+        semantic_consequence((), (parse("x"), parse("0")), max_n=0)
+
+
 def test_semantic_matches_reference_loop():
     """``holds`` on P(U) against the old enumeration loop over the
     recursive evaluator: the same verdict, smallest universe and least
@@ -183,6 +191,43 @@ def test_semantic_matches_reference_loop():
     # P(U) with n points is the n-th power of P(U) with one point, with
     # definedness componentwise, so a witness always exists at n = 1
     assert outcomes == {None, 1}
+
+
+def test_p1_verdict_matches_reference_loop_up_to_four_points():
+    """The verdict decided on P(1) alone against the old loop over P(U)
+    for every n up to 4: a valid argument has no counter-assignment on
+    two, three or four points either."""
+    rng = random.Random(2013)
+    outcomes = set()
+    for _ in range(150):
+        premisses, conclusion = random_ground_argument(rng)
+        verdict = semantic_consequence(premisses, conclusion, max_n=4)
+        expected = reference_semantic_consequence(premisses, conclusion, 4)
+        assert (verdict.valid, verdict.witness_n, verdict.witness) == expected, (
+            premisses,
+            conclusion,
+        )
+        assert verdict.max_n == 4
+        outcomes.add(verdict.valid)
+    assert outcomes == {True, False}
+
+
+def test_certified_arguments_hold_on_two_to_four_points():
+    """Gate 05 checks its certified arguments with semantic_consequence,
+    which decides on P(1) alone; here the same arguments are checked on
+    P(U) for n = 2..4 directly, so that gate still covers them."""
+    rng = random.Random(96321)  # the seed of gate 05's sweep
+    certified = 0
+    for _ in range(500):
+        premisses, conclusion = random_ground_argument(rng)
+        cert = certify_consequence(premisses, conclusion)
+        if cert is None or not verify_certificate(premisses, conclusion, cert).verified:
+            continue
+        certified += 1
+        sentence = horn_sentence(premisses, conclusion)
+        for n in (2, 3, 4):
+            assert holds(build_pu(n).algebra, sentence).holds, (n, premisses, conclusion)
+    assert certified > 50
 
 
 def test_rule_of_zero_and_one():

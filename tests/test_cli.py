@@ -157,6 +157,29 @@ def test_check_trace_rejected_in_hailperin_mode(capsys, tmp_path):
     assert "trace (hailperin): rejected at step 1" in out
 
 
+@pytest.mark.parametrize("command", ["expand", "interpret"])
+def test_vertex_commands_check_the_variable_cap(capsys, command):
+    assert run(["--max-vars", "3", command, "a+b+c+d+e"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5 variables exceeds the limit of 3" in captured.err
+    code, out = invoke(capsys, ["--max-vars", "5", command, "a+b+c+d+e"])
+    assert code in (0, 1)
+    assert "term: a+b+c+d+e" in out
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_normalize_long_sum_and_product(capsys, op):
+    names = [f"v{i}" for i in range(5000)]
+    code, out = invoke(capsys, ["normalize", op.join(names)])
+    assert code == 0
+    normal_form = out.splitlines()[1]
+    if op == "+":
+        assert normal_form == "normal form: " + " + ".join(sorted(names))
+    else:
+        assert normal_form == "normal form: " + "*".join(sorted(names))
+
+
 def test_embed_verified(capsys):
     code, out = invoke(capsys, ["embed", "--boole", "1"])
     assert code == 0

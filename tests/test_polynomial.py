@@ -18,8 +18,14 @@ from boolelab.polynomial import (
     normalize,
     unexpand,
 )
-from boolelab.terms import IntLit, Var, parse
-from helpers import eval_int, exhaustive_terms, random_term, reference_unexpand
+from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
+from helpers import (
+    eval_int,
+    exhaustive_terms,
+    random_term,
+    reference_normalize,
+    reference_unexpand,
+)
 
 
 def nf(text: str) -> MultilinearPoly:
@@ -71,9 +77,49 @@ def test_normalize_matches_integer_evaluation_random():
             assert p.evaluate(env) == eval_int(t, env)
 
 
-def test_normalize_is_a_homomorphism():
-    from boolelab.terms import Add, Mul, Sub
+def test_normalize_matches_recursive_reference():
+    """The single post-order walk against the recursive normalizer: the
+    same vars, the same coefficient insertion order and the same printed
+    form.  Literals up to 3 occur, and each term is also taken minus
+    another, with that other added back (its monomials cancel and
+    return) and times a zero difference."""
+    rng = random.Random(1854)
+    names = ("w", "x", "y", "z")
+    for _ in range(1500):
+        t = random_term(rng, names, rng.randint(1, 6))
+        u = random_term(rng, names, rng.randint(1, 4))
+        for term in (t, Sub(t, u), Add(Sub(t, u), u), Mul(u, Sub(t, t))):
+            got, want = normalize(term), reference_normalize(term)
+            assert got.vars == want.vars, term
+            assert list(got.coeffs.items()) == list(want.coeffs.items()), term
+            assert str(got) == str(want), term
 
+
+def test_normalize_deep_terms():
+    # deeper than the interpreter's recursion limit both ways; a sum
+    # folds its right operand into its left one, so the right-nested
+    # difference is quadratic and is kept shorter
+    names = [f"v{i}" for i in range(5000)]
+    left_sum = Var(names[0])
+    for name in names[1:]:
+        left_sum = Add(left_sum, Var(name))
+    p = normalize(left_sum)
+    assert p.vars == tuple(sorted(names))
+    assert len(p.coeffs) == 5000 and set(p.coeffs.values()) == {1}
+    right_diff = Var(names[0])
+    for name in names[1:1500]:
+        right_diff = Sub(Var(name), right_diff)
+    q = normalize(right_diff)
+    assert len(q.coeffs) == 1500 and set(q.coeffs.values()) == {1, -1}
+
+
+def test_constructor_keeps_variables_of_zero_monomials():
+    p = MultilinearPoly(("b",), {frozenset(("a",)): 0, frozenset(("c", "b")): 2})
+    assert p.vars == ("a", "b", "c")
+    assert dict(p.coeffs) == {frozenset(("b", "c")): 2}
+
+
+def test_normalize_is_a_homomorphism():
     rng = random.Random(13)
     for _ in range(200):
         s = random_term(rng, ("x", "y", "z"), rng.randint(1, 3))
@@ -149,6 +195,15 @@ def test_unexpand_matches_constituent_sum():
 def test_expansion_requires_all_vertices():
     with pytest.raises(ValueError):
         ConstituentExpansion(("x",), {(1,): 1})
+    full = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 2}
+    ConstituentExpansion(("x", "y"), full)
+    missing = {v: c for v, c in full.items() if v != (1, 0)}
+    extra = {**full, (1, 1, 0): 0}
+    wrong_length = {**missing, (1,): 0}
+    not_a_tuple = {**missing, 2: 0}
+    for table in (missing, extra, wrong_length, not_a_tuple):
+        with pytest.raises(ValueError):
+            ConstituentExpansion(("x", "y"), table)
 
 
 def test_interpretability_product():
@@ -223,8 +278,6 @@ def test_oracle_variable_cap():
     terms = [Var(f"v{i}") for i in range(21)]
     total = terms[0]
     for t in terms[1:]:
-        from boolelab.terms import Add
-
         total = Add(total, t)
     with pytest.raises(CapExceeded):
         boole_oracle((), (total, IntLit(0)))

@@ -24,7 +24,6 @@ def test_parse_full_problem():
             (parse("y - y*z"), parse("0")),
         ),
         conclusion=(parse("x - x*z"), parse("0")),
-        vars=("x", "y", "z"),
         mode="hailperin",
         max_n=3,
     )
@@ -33,7 +32,6 @@ def test_parse_full_problem():
 def test_defaults():
     problem = parse_problem("conclude: x = x\n")
     assert problem.premisses == ()
-    assert problem.vars is None
     assert problem.mode == "hailperin"
     assert problem.max_n == 3
 
