@@ -141,9 +141,20 @@ class FinitePartialAlgebra:
             )
         return cells, base, index
 
+    @cached_property
+    def _programs(self) -> dict:
+        """``eval_term``'s compiled terms: id(t) -> (t, names, program),
+        at most _PROGRAMS_KEPT of them."""
+        return {}
+
 
 _OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
 _NOWHERE = 0  # first cell of a partial algebra's never-defined block
+# Terms whose programs one algebra keeps for eval_term.  Callers loop
+# over assignments of a few terms at a time; the bound keeps a caller
+# that streams fresh terms from holding them all.  A full cache is
+# emptied in one call, which stays safe when threads share the algebra.
+_PROGRAMS_KEPT = 64
 
 
 def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
@@ -227,10 +238,19 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
     Unbound variables and unknown operation symbols raise, whether or
     not the evaluation would reach them; an integer literal outside
     {0, 1} evaluates by a constant table of that name when the
-    signature has one and is UNDEFINED otherwise.
+    signature has one and is UNDEFINED otherwise.  The algebra keeps
+    the programs of recently evaluated terms, so a caller that loops
+    over assignments of the same term objects compiles each once.
     """
     cells, base, index = algebra._layout
-    names = variables(t)
+    programs = algebra._programs
+    # Terms are looked up by identity, never hashed: hashing a deep
+    # term would recurse.  The entry holds t, so its id stays t's own.
+    entry = programs.get(id(t))
+    if entry is not None and entry[0] is t:
+        _, names, prog = entry
+    else:
+        names, prog = variables(t), None
     env = []
     for name in names:
         if name not in assignment:
@@ -238,7 +258,12 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
         if assignment[name] not in index:
             raise ValueError(f"assignment sends {name!r} outside the carrier")
         env.append(index[assignment[name]])
-    v = _eval(_compile(t, names, base), env, cells, len(algebra.carrier))
+    if prog is None:
+        prog = _compile(t, names, base)
+        if len(programs) >= _PROGRAMS_KEPT:
+            programs.clear()
+        programs[id(t)] = (t, names, prog)
+    v = _eval(prog, env, cells, len(algebra.carrier))
     return UNDEFINED if v < 0 else algebra.carrier[v]
 
 

@@ -153,8 +153,14 @@ def _caps(args) -> dict:
     }
 
 
+def _normalize_capped(term, max_vars: int):
+    """Normal form with the monomial cap the variable cap implies: no
+    product step may multiply more than 2^max_vars monomial pairs."""
+    return normalize(term, max_pairs=1 << max_vars)
+
+
 def _cmd_normalize(args, caps):
-    p = normalize(parse(args.term))
+    p = _normalize_capped(parse(args.term), caps["max_vars"])
     lines = [f"term: {args.term}", f"normal form: {p}"]
     data = {
         "term": args.term,
@@ -170,7 +176,7 @@ def _capped_normal_form(text: str, max_vars: int):
     the variable cap is checked first."""
     term = parse(text)
     check_var_cap(variables(term), max_vars)
-    return normalize(term)
+    return _normalize_capped(term, max_vars)
 
 
 def _cmd_expand(args, caps):

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 from .polynomial import (
     MultilinearPoly,
+    _bit_terms,
     _differences,
+    _Monomials,
+    _from_vertex_values,
     equation_difference,
-    unexpand,
-    ConstituentExpansion,
-    vertices,
 )
 from .terms import (
     Add,
@@ -145,41 +145,42 @@ def certify_consequence(premisses, conclusion, max_vars: int = 20) -> Certificat
     """Search for a certificate; None exactly when the 0/1-vertex
     oracle rejects the consequence.
 
-    One walk over the vertices evaluates the conclusion difference, and
-    the premiss differences only where it is nonzero: there they must
-    span a multiple of it, and their Bezout coefficients become the
-    cofactor values.  The walk returns None at the first vertex where
-    they all vanish instead, which is the oracle's witness.  The
-    multiplier n is the least common multiple of the local
-    denominators, so it is minimal for this construction.  Cofactors
-    are rebuilt from their vertex values by the Moebius transform
-    (``unexpand``) and are not further minimized.
+    One walk over the vertex indices evaluates the conclusion
+    difference, and the premiss differences only where it is nonzero:
+    there they must span a multiple of it, and their Bezout
+    coefficients become the cofactor values.  The walk returns None at
+    the first vertex where they all vanish instead, which is the
+    oracle's witness.  The multiplier n is the least common multiple of
+    the local denominators, so it is minimal for this construction.
+    Each cofactor's values sit in a plain list indexed by vertex; the
+    Moebius transform that ``unexpand`` also runs rebuilds the cofactor
+    from them, and it is not further minimized.
     """
     names, f, gs = _differences(premisses, conclusion, max_vars)
-    support: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    fterms = _bit_terms(f, names)
+    gterms = [_bit_terms(g, names) for g in gs]
+    support: list[tuple[int, int, list[int]]] = []
     n = 1
-    for v in vertices(names):
-        a = dict(zip(names, v))
-        fval = f.evaluate(a)
+    for i in range(1 << len(names)):
+        fval = sum(c for k, c in fterms if i & k == k)
         if fval == 0:
             continue
-        gvals = [g.evaluate(a) for g in gs]
+        gvals = [sum(c for k, c in terms if i & k == k) for terms in gterms]
         d = math.gcd(*gvals)
         if d == 0:
             return None
         n = math.lcm(n, d // math.gcd(d, fval))
-        support[v] = (fval, gvals)
-    grid = list(vertices(names))  # every table shares these vertex tuples
-    cofactor_values = [dict.fromkeys(grid, 0) for _ in gs]
-    for v, (fval, gvals) in support.items():
+        support.append((i, fval, gvals))
+    cofactor_values = [[0] * (1 << len(names)) for _ in gs]
+    for i, fval, gvals in support:
         d, coeffs = _bezout(gvals)
         scale = n * fval // d
-        for table, c in zip(cofactor_values, coeffs):
-            table[v] = c * scale
-    cofactors = tuple(
-        unexpand(ConstituentExpansion(names, table)) for table in cofactor_values
+        for values, c in zip(cofactor_values, coeffs):
+            values[i] = c * scale
+    monos = _Monomials(names)
+    return Certificate(
+        n, tuple(_from_vertex_values(values, monos) for values in cofactor_values)
     )
-    return Certificate(n, cofactors)
 
 
 # ---------------------------------------------------------------------- traces

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import sub
 from types import MappingProxyType
 
 from .errors import CapExceeded
@@ -177,7 +178,7 @@ class MultilinearPoly:
 _COMBINE = object()
 
 
-def normalize(term: Term) -> MultilinearPoly:
+def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
     """Unique multilinear normal form of a term.
 
     Two terms get equal normal forms exactly when every commutative ring
@@ -188,7 +189,10 @@ def normalize(term: Term) -> MultilinearPoly:
     One post-order walk with an explicit stack, so any depth is fine.
     Operands are plain {monomial: coefficient} dicts with no zero
     entries; a sum or difference folds its right operand into its left
-    one in place, so a left-deep sum of k terms costs O(k).
+    one in place, so a left-deep sum of k terms costs O(k).  A product
+    of k sums can have 2^k monomials, so with ``max_pairs`` a product
+    step that would multiply more monomial pairs than that raises
+    CapExceeded before it starts.
     """
     names: set[str] = set()
     values: list[dict[frozenset, int]] = []
@@ -200,6 +204,11 @@ def normalize(term: Term) -> MultilinearPoly:
             right = values.pop()
             left = values[-1]
             if isinstance(op, Mul):
+                pairs = len(left) * len(right)
+                if max_pairs is not None and pairs > max_pairs:
+                    raise CapExceeded(
+                        f"{pairs} monomial pairs in one product exceeds the limit of {max_pairs}"
+                    )
                 product: dict[frozenset, int] = {}
                 for m1, c1 in left.items():
                     for m2, c2 in right.items():
@@ -238,8 +247,7 @@ class ConstituentExpansion:
     Construction checks the table by count and key shape: 2^m distinct
     keys, each a tuple of length m.  The entries of a key are not
     checked one by one (that costs as much as listing every vertex);
-    ``expand`` and ``certify_consequence`` build their keys from
-    ``vertices``.
+    ``expand`` builds its keys from ``vertices``.
     """
 
     vars: tuple[str, ...]
@@ -271,36 +279,88 @@ def vertices(var_names) -> Iterator[tuple[int, ...]]:
     return itertools.product((0, 1), repeat=len(var_names))
 
 
+def _bit_terms(p: MultilinearPoly, names) -> list[tuple[int, int]]:
+    """(mask, coefficient) pairs of p over ``names``, where names[j] is
+    bit m-1-j of a vertex index.  Index order is then the
+    lexicographic vertex order of ``vertices``, and p's value at vertex
+    index i is the sum of the coefficients whose mask is inside i."""
+    m = len(names)
+    bit = {name: 1 << (m - 1 - j) for j, name in enumerate(names)}
+    return [(sum(bit[name] for name in mono), c) for mono, c in p._coeffs.items()]
+
+
+def _vertex(names, i: int) -> dict[str, int]:
+    """The vertex of index i as a {name: bit} dict in ``names`` order."""
+    m = len(names)
+    return {name: (i >> (m - 1 - j)) & 1 for j, name in enumerate(names)}
+
+
+class _Monomials(dict):
+    """Vertex index -> the monomial of the variables whose bits are set
+    in it, over ``names``.  A monomial is built on first use, from the
+    one of its index with the lowest set bit cleared, so callers that
+    share one table build each monomial once and only those they use."""
+
+    def __init__(self, names):
+        super().__init__({0: frozenset()})
+        self.names = names
+
+    def __missing__(self, i: int) -> frozenset:
+        low = i & -i
+        mono = self[i ^ low] | {self.names[len(self.names) - low.bit_length()]}
+        self[i] = mono
+        return mono
+
+
+def _from_vertex_values(values: list, monos: _Monomials) -> MultilinearPoly:
+    """The polynomial over ``monos.names`` whose value at vertex index i
+    is values[i]; ``values`` is overwritten.
+
+    This is the Moebius transform on the subset lattice: the pass for
+    bit b subtracts from the value at every index with bit b set the
+    value at the index with that bit cleared, and after every pass the
+    value at index i is the coefficient of monos[i].  O(m * 2^m)
+    integer steps.  Each pass is a few slice subtractions rather than
+    one Python step per index: strided slices (one per offset below
+    the step) while the step is at most sqrt(2^m), contiguous blocks
+    (one per pair of blocks) above it, so no pass needs more than about
+    2^(m/2) slice operations.
+    """
+    size = len(values)
+    step = 1
+    while step < size:
+        span = 2 * step
+        if step * step <= size:
+            for low in range(step):
+                high = low + step
+                values[high::span] = map(sub, values[high::span], values[low::span])
+        else:
+            for low in range(0, size, span):
+                high = low + step
+                values[high : high + step] = map(
+                    sub, values[high : high + step], values[low:high]
+                )
+        step = span
+    coeffs = {monos[i]: c for i, c in enumerate(values) if c}
+    return MultilinearPoly(monos.names, coeffs)
+
+
+def _vertex_values(p: MultilinearPoly) -> list[int]:
+    """p's value at every vertex index over p.vars, in vertex order."""
+    terms = _bit_terms(p, p.vars)
+    return [sum(c for k, c in terms if i & k == k) for i in range(1 << len(p.vars))]
+
+
 def expand(p: MultilinearPoly) -> ConstituentExpansion:
     """Evaluate p at every 0/1 vertex over p.vars."""
-    table = {}
-    for v in vertices(p.vars):
-        table[v] = p.evaluate(dict(zip(p.vars, v)))
-    return ConstituentExpansion(p.vars, table)
+    return ConstituentExpansion(p.vars, dict(zip(vertices(p.vars), _vertex_values(p))))
 
 
 def unexpand(e: ConstituentExpansion) -> MultilinearPoly:
-    """Rebuild the polynomial from its vertex values; inverse to expand.
-
-    This is the Moebius transform on the subset lattice.  The 2^m
-    values are listed in vertex order, so a vertex's index has one bit
-    per variable.  Pass b subtracts from the value at every index with
-    bit b set the value at the index with that bit cleared; after the m
-    passes the value at a vertex is the coefficient of the monomial of
-    the variables set there.  O(m * 2^m) integer steps.
-    """
+    """Rebuild the polynomial from its vertex values; inverse to expand
+    (the Moebius transform of ``_from_vertex_values``)."""
     values = [e.coeff_at[v] for v in vertices(e.vars)]
-    for b in range(len(e.vars)):
-        step = 1 << b
-        for low in range(0, len(values), 2 * step):
-            for i in range(low + step, low + 2 * step):
-                values[i] -= values[i - step]
-    coeffs = {
-        frozenset(name for name, bit in zip(e.vars, v) if bit): c
-        for v, c in zip(vertices(e.vars), values)
-        if c
-    }
-    return MultilinearPoly(e.vars, coeffs)
+    return _from_vertex_values(values, _Monomials(e.vars))
 
 
 INTERPRETABLE = "interpretable"
@@ -322,11 +382,11 @@ class InterpretVerdict:
 
 
 def interpretability(p: MultilinearPoly) -> InterpretVerdict:
-    e = expand(p)
-    bad = tuple(v for v in e.vertices() if e.coeff_at[v] not in (0, 1))
+    values = _vertex_values(p)
+    bad = tuple(v for v, c in zip(vertices(p.vars), values) if c not in (0, 1))
     if not bad:
         return InterpretVerdict(INTERPRETABLE, ())
-    if len(bad) == len(e.coeff_at):
+    if len(bad) == len(values):
         return InterpretVerdict(NEVER, bad)
     return InterpretVerdict(CONDITIONAL, bad)
 
@@ -378,8 +438,11 @@ def boole_oracle(premisses, conclusion, max_vars: int = 20) -> OracleVerdict:
     2^m vertices, so m is capped (default 20).
     """
     names, f, gs = _differences(premisses, conclusion, max_vars)
-    for v in vertices(names):
-        a = dict(zip(names, v))
-        if all(g.evaluate(a) == 0 for g in gs) and f.evaluate(a) != 0:
-            return OracleVerdict(False, a)
+    fterms = _bit_terms(f, names)
+    gterms = [_bit_terms(g, names) for g in gs]
+    for i in range(1 << len(names)):
+        if sum(c for k, c in fterms if i & k == k) and not any(
+            sum(c for k, c in terms if i & k == k) for terms in gterms
+        ):
+            return OracleVerdict(False, _vertex(names, i))
     return OracleVerdict(True)

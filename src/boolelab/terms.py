@@ -101,95 +101,98 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Term:
-        t = self.sum()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r} after a complete term", pos)
-        return t
-
-    def sum(self) -> Term:
-        t = self.prod()
-        while True:
-            kind = self.peek()[0]
-            if kind == "+":
-                self.advance()
-                t = Add(t, self.prod())
-            elif kind == "-":
-                self.advance()
-                t = Sub(t, self.prod())
-            else:
-                return t
-
-    def prod(self) -> Term:
-        t = self.atom()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.advance()
-                t = Mul(t, self.atom())
-            elif kind in ("ident", "int", "("):
-                # juxtaposition
-                t = Mul(t, self.atom())
-            else:
-                return t
-
-    def atom(self) -> Term:
-        kind, text, pos = self.advance()
-        if kind == "ident":
-            return Var(text)
-        if kind == "int":
-            return IntLit(int(text))
-        if kind == "(":
-            t = self.sum()
-            kind, text, pos = self.advance()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return t
-        if kind == "-":
-            raise ParseError("unary minus is not in the grammar; write 0 - t", pos)
-        shown = text if text else "end of input"
-        raise ParseError(f"expected a variable, an integer, or '(', got {shown}", pos)
+_JUXTAPOSED = ("ident", "int", "(")
+_ADDITIVE = {"+": Add, "-": Sub}
 
 
 def parse(text: str) -> Term:
-    """Parse ``text`` under the grammar above, or raise ParseError."""
-    return _Parser(text).parse()
+    """Parse ``text`` under the grammar above, or raise ParseError.
+
+    Precedence climbing with an explicit stack, so nesting depth is
+    unlimited.  Each open parenthesis saves the enclosing sum so far,
+    its pending '+' or '-', and the enclosing product so far; the
+    closing one restores them and the parenthesized sum becomes the
+    next atom of that product.
+    """
+    tokens = _tokenize(text)
+    i = 0
+    stack: list = []
+    total = op = product = None
+    while True:
+        # an atom is due
+        kind, word, pos = tokens[i]
+        i += 1
+        if kind == "(":
+            stack.append((total, op, product))
+            total = op = product = None
+            continue
+        if kind == "ident":
+            atom: Term = Var(word)
+        elif kind == "int":
+            atom = IntLit(int(word))
+        elif kind == "-":
+            raise ParseError("unary minus is not in the grammar; write 0 - t", pos)
+        else:
+            shown = word if word else "end of input"
+            raise ParseError(f"expected a variable, an integer, or '(', got {shown}", pos)
+        while True:
+            # fold the atom into the product, then look past it
+            product = atom if product is None else Mul(product, atom)
+            kind, word, pos = tokens[i]
+            if kind == "*":
+                i += 1
+                break
+            if kind in _JUXTAPOSED:
+                break
+            t = product if total is None else op(total, product)
+            product = None
+            if kind in _ADDITIVE:
+                i += 1
+                total, op = t, _ADDITIVE[kind]
+                break
+            if not stack:
+                if kind != "end":
+                    raise ParseError(f"unexpected {word!r} after a complete term", pos)
+                return t
+            i += 1
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            total, op, product = stack.pop()
+            atom = t
 
 
 # Precedence levels for printing: 0 = sum position, 1 = product position,
 # 2 = atom position.  A node parenthesizes when placed above its level.
 
 
-def _render(t: Term, level: int) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, IntLit):
-        return str(t.value)
-    if isinstance(t, Mul):
-        s = f"{_render(t.left, 1)}*{_render(t.right, 2)}"
-        return f"({s})" if level > 1 else s
-    op = "+" if isinstance(t, Add) else "-"
-    s = f"{_render(t.left, 0)} {op} {_render(t.right, 1)}"
-    return f"({s})" if level > 0 else s
-
-
 def pretty(t: Term) -> str:
-    """Render with minimal parentheses; parse(pretty(t)) == t."""
-    return _render(t, 0)
+    """Render with minimal parentheses; parse(pretty(t)) == t.  Pending
+    operands and separators wait on an explicit stack, so any depth is
+    fine."""
+    out: list[str] = []
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        if isinstance(node, Var):
+            out.append(node.name)
+        elif isinstance(node, IntLit):
+            out.append(str(node.value))
+        elif isinstance(node, Mul):
+            if level > 1:
+                out.append("(")
+                todo.append(")")
+            todo += ((node.right, 2), "*", (node.left, 1))
+        else:
+            if level > 0:
+                out.append("(")
+                todo.append(")")
+            op = " + " if isinstance(node, Add) else " - "
+            todo += ((node.right, 1), op, (node.left, 0))
+    return "".join(out)
 
 
 def variables(t: Term) -> tuple[str, ...]:

@@ -6,11 +6,11 @@ exceptions are the reference model search, which takes its operation
 order from ``models.signature_of`` because that order is what the
 differential tests hold fixed, the reference semantic check, which
 takes its class algebras from ``classes.build_pu``, the reference
-vertex reconstruction, which computes with ``MultilinearPoly`` and
-takes its verdict from ``polynomial.boole_oracle`` and its local
-coefficients from ``derivation._bezout``, and the reference normalizer,
-which computes with ``MultilinearPoly``'s operators; their loops are
-independent.
+oracle and vertex reconstruction, which compute with
+``MultilinearPoly`` and take their local coefficients from
+``derivation._bezout``, the reference normalizer, which computes with
+``MultilinearPoly``'s operators, and the reference parser, which reads
+the tokens of ``terms._tokenize``; their loops are independent.
 """
 
 import itertools
@@ -25,10 +25,21 @@ from boolelab.models import signature_of
 from boolelab.polynomial import (
     ConstituentExpansion,
     MultilinearPoly,
-    boole_oracle,
+    OracleVerdict,
+    check_var_cap,
     equation_difference,
 )
-from boolelab.terms import Add, IntLit, Mul, Sub, Term, Var, variables
+from boolelab.terms import (
+    Add,
+    IntLit,
+    Mul,
+    ParseError,
+    Sub,
+    Term,
+    Var,
+    _tokenize,
+    variables,
+)
 
 
 def eval_int(t: Term, env) -> int:
@@ -84,6 +95,29 @@ def random_ground_argument(rng: random.Random):
         return (random_term(rng, names, 3), random_term(rng, names, 3))
     premisses = tuple(equation() for _ in range(rng.randint(0, 2)))
     return premisses, equation()
+
+
+def chain(m, conclusion_first=0, drop=None, conclusion_last=None):
+    """v_i - v_i*v_{i+1} = 0 for every link but ``drop``, concluding
+    v_c - v_c*v_l = 0 for c = conclusion_first and l = conclusion_last
+    (the last symbol by default)."""
+    v = [Var(f"v{i}") for i in range(m)]
+    premisses = tuple(
+        (Sub(v[i], Mul(v[i], v[i + 1])), IntLit(0)) for i in range(m - 1) if i != drop
+    )
+    c = v[conclusion_first]
+    last = v[-1] if conclusion_last is None else v[conclusion_last]
+    return premisses, (Sub(c, Mul(c, last)), IntLit(0))
+
+
+def chain_arguments(m):
+    """The chain over m symbols, its converse (v_last - v_last*v_0 = 0,
+    refuted at the vertex with only v_last set), and every chain with
+    one link dropped (refuted past the middle of the vertex order)."""
+    yield chain(m)
+    yield chain(m, conclusion_first=m - 1, conclusion_last=0)
+    for k in range(m - 1):
+        yield chain(m, drop=k)
 
 
 def small_algebras():
@@ -387,10 +421,40 @@ def reference_normalize(t: Term) -> MultilinearPoly:
 
 # ------------------------------------ reference vertex reconstruction
 #
-# The constituent-sum ``unexpand`` and the two-pass
-# ``certify_consequence`` (an oracle call, then a walk that evaluates
-# every difference at every vertex) that the Moebius transform and the
-# single walk replaced.  Their results must match exactly.
+# The dict-per-vertex ``boole_oracle``, the constituent-sum ``unexpand``
+# and the two-pass ``certify_consequence`` (an oracle call, then a walk
+# that evaluates every difference at every vertex) that the walk over
+# integer vertex indices, the Moebius transform and the single certify
+# walk replaced.  Their results must match exactly, down to the
+# witness's key order.
+
+
+def _ref_pooled_differences(premisses, conclusion):
+    diffs = [equation_difference(eq) for eq in premisses]
+    f = equation_difference(conclusion)
+    pool = set(f.vars)
+    for g in diffs:
+        pool.update(g.vars)
+    return tuple(sorted(pool)), f, diffs
+
+
+def reference_boole_oracle(premisses, conclusion) -> OracleVerdict:
+    """Every vertex tuple in lexicographic order, a {name: bit} dict for
+    each, and ``MultilinearPoly.evaluate`` on every difference."""
+    names, f, diffs = _ref_pooled_differences(premisses, conclusion)
+    for v in itertools.product((0, 1), repeat=len(names)):
+        a = dict(zip(names, v))
+        if all(g.evaluate(a) == 0 for g in diffs) and f.evaluate(a) != 0:
+            return OracleVerdict(False, a)
+    return OracleVerdict(True)
+
+
+def reference_expand(p: MultilinearPoly) -> dict:
+    """{vertex tuple: value} of p over p.vars, by ``evaluate``."""
+    return {
+        v: p.evaluate(dict(zip(p.vars, v)))
+        for v in itertools.product((0, 1), repeat=len(p.vars))
+    }
 
 
 def _ref_constituent(var_names, vertex) -> MultilinearPoly:
@@ -414,15 +478,10 @@ def reference_unexpand(e: ConstituentExpansion) -> MultilinearPoly:
 def reference_certify_consequence(premisses, conclusion, max_vars: int = 20):
     """Oracle first, then every difference at every vertex, Bezout
     cofactor values and the constituent-sum rebuild."""
-    verdict = boole_oracle(premisses, conclusion, max_vars=max_vars)
-    if not verdict.valid:
+    names, f, diffs = _ref_pooled_differences(premisses, conclusion)
+    check_var_cap(names, max_vars)
+    if not reference_boole_oracle(premisses, conclusion).valid:
         return None
-    diffs = [equation_difference(eq) for eq in premisses]
-    f = equation_difference(conclusion)
-    pool = set(f.vars)
-    for g in diffs:
-        pool.update(g.vars)
-    names = tuple(sorted(pool))
     grid = list(itertools.product((0, 1), repeat=len(names)))
     per_vertex = {}
     n = 1
@@ -450,3 +509,95 @@ def reference_certify_consequence(premisses, conclusion, max_vars: int = 20):
         for table in cofactor_values
     )
     return Certificate(n, cofactors)
+
+
+# ------------------------------------------------ reference parser
+#
+# The recursive-descent parser and printer that the explicit-stack
+# ``terms.parse`` and ``terms.pretty`` replaced.  On every text both
+# parsers must build equal trees or raise the same ParseError message at
+# the same position, and both printers must print the same string.
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self) -> Term:
+        t = self.sum()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r} after a complete term", pos)
+        return t
+
+    def sum(self) -> Term:
+        t = self.prod()
+        while True:
+            kind = self.peek()[0]
+            if kind == "+":
+                self.advance()
+                t = Add(t, self.prod())
+            elif kind == "-":
+                self.advance()
+                t = Sub(t, self.prod())
+            else:
+                return t
+
+    def prod(self) -> Term:
+        t = self.atom()
+        while True:
+            kind = self.peek()[0]
+            if kind == "*":
+                self.advance()
+                t = Mul(t, self.atom())
+            elif kind in ("ident", "int", "("):
+                t = Mul(t, self.atom())
+            else:
+                return t
+
+    def atom(self) -> Term:
+        kind, text, pos = self.advance()
+        if kind == "ident":
+            return Var(text)
+        if kind == "int":
+            return IntLit(int(text))
+        if kind == "(":
+            t = self.sum()
+            kind, text, pos = self.advance()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            return t
+        if kind == "-":
+            raise ParseError("unary minus is not in the grammar; write 0 - t", pos)
+        shown = text if text else "end of input"
+        raise ParseError(f"expected a variable, an integer, or '(', got {shown}", pos)
+
+
+def reference_parse(text: str) -> Term:
+    return _RefParser(text).parse()
+
+
+def _ref_render(t: Term, level: int) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, IntLit):
+        return str(t.value)
+    if isinstance(t, Mul):
+        s = f"{_ref_render(t.left, 1)}*{_ref_render(t.right, 2)}"
+        return f"({s})" if level > 1 else s
+    op = "+" if isinstance(t, Add) else "-"
+    s = f"{_ref_render(t.left, 0)} {op} {_ref_render(t.right, 1)}"
+    return f"({s})" if level > 0 else s
+
+
+def reference_pretty(t: Term) -> str:
+    return _ref_render(t, 0)

@@ -61,6 +61,32 @@ def test_eval_large_literal_is_undefined_without_table():
     assert eval_term(intro_algebra(), IntLit(2), {}) is UNDEFINED
 
 
+def test_eval_term_reuses_programs_with_the_same_errors():
+    # one algebra keeps each term's program, found by identity; the
+    # checks of the assignment still run on every call, and a term that
+    # fails to compile fails on every call
+    algebra = intro_algebra()
+    t = parse("(x + y) + x")
+    for values in itertools.product(algebra.carrier, repeat=2):
+        assignment = dict(zip("xy", values))
+        assert eval_term(algebra, t, assignment) == reference_eval_term(algebra, t, assignment)
+    twin = parse("(x + y) + x")
+    assert eval_term(algebra, twin, {"x": "1", "y": "1"}) == "1"
+    with pytest.raises(UnknownSymbolError, match="unbound variable 'y'"):
+        eval_term(algebra, t, {"x": "0"})
+    with pytest.raises(ValueError, match="outside the carrier"):
+        eval_term(algebra, t, {"x": "0", "y": "7"})
+    for _ in range(2):
+        with pytest.raises(UnknownSymbolError, match="no operation"):
+            eval_term(algebra, parse("x*y"), {"x": "0", "y": "0"})
+    sums = [x]
+    for _ in range(200):
+        sums.append(Add(sums[-1], x))
+    for s in sums:
+        assert eval_term(algebra, s, {"x": "1"}) == "1"
+    assert len(algebra._programs) <= 64
+
+
 def test_unknown_symbols_raise_before_evaluation():
     # the sum is undefined at (0, 1), so evaluation never reaches the
     # missing constant or product; compiling the term still rejects it

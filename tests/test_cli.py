@@ -180,6 +180,26 @@ def test_normalize_long_sum_and_product(capsys, op):
         assert normal_form == "normal form: " + "*".join(sorted(names))
 
 
+def test_normalize_monomial_cap(capsys):
+    # a product of k sums has 2^k monomials; the variable cap bounds the
+    # monomial pairs of each product step at 2^max_vars
+    term = "*".join(f"(v{i}+1)" for i in range(14))
+    assert run(["--max-vars", "5", "normalize", term]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "64 monomial pairs in one product exceeds the limit of 32" in captured.err
+    code, out = invoke(capsys, ["normalize", term])
+    assert code == 0
+    assert out.count(" + ") == 2**14 - 1
+
+
+@pytest.mark.parametrize("command", ["normalize", "expand", "interpret"])
+def test_deeply_nested_parentheses(capsys, command):
+    code, out = invoke(capsys, [command, "(" * 1200 + "1 - x" + ")" * 1200])
+    assert code == 0
+    assert "term: " + "(" * 1200 in out
+
+
 def test_embed_verified(capsys):
     code, out = invoke(capsys, ["embed", "--boole", "1"])
     assert code == 0

@@ -36,7 +36,7 @@ from boolelab.derivation import (
 from boolelab.errors import CapExceeded
 from boolelab.polynomial import boole_oracle, normalize
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
-from helpers import random_ground_argument, reference_certify_consequence
+from helpers import chain, random_ground_argument, reference_certify_consequence
 
 x, y = Var("x"), Var("y")
 ZERO = IntLit(0)
@@ -125,17 +125,6 @@ def test_oracle_certificate_agreement_random():
     assert produced > 20
 
 
-def chain(m, conclusion_first=0, drop=None):
-    """v_i - v_i*v_{i+1} = 0 for every link but ``drop``, concluding
-    v_c - v_c*v_last = 0 for c = conclusion_first."""
-    v = [Var(f"v{i}") for i in range(m)]
-    premisses = tuple(
-        (Sub(v[i], Mul(v[i], v[i + 1])), ZERO) for i in range(m - 1) if i != drop
-    )
-    c = v[conclusion_first]
-    return premisses, (Sub(c, Mul(c, v[-1])), ZERO)
-
-
 def assert_same_certificate(premisses, conclusion):
     got = certify_consequence(premisses, conclusion)
     want = reference_certify_consequence(premisses, conclusion)
@@ -158,9 +147,10 @@ def test_certify_matches_two_pass_reference_random():
 
 
 def test_certify_matches_two_pass_reference_chains():
-    for m in range(2, 9):
+    for m in range(2, 11):
         assert assert_same_certificate(*chain(m)) is not None
         assert assert_same_certificate(*chain(m, conclusion_first=m - 1)) is not None
+        assert assert_same_certificate(*chain(m, conclusion_first=m - 1, conclusion_last=0)) is None
         for k in range(m - 1):
             assert assert_same_certificate(*chain(m, drop=k)) is None
 

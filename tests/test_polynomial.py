@@ -20,9 +20,13 @@ from boolelab.polynomial import (
 )
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
 from helpers import (
+    chain_arguments,
     eval_int,
     exhaustive_terms,
+    random_ground_argument,
     random_term,
+    reference_boole_oracle,
+    reference_expand,
     reference_normalize,
     reference_unexpand,
 )
@@ -113,6 +117,15 @@ def test_normalize_deep_terms():
     assert len(q.coeffs) == 1500 and set(q.coeffs.values()) == {1, -1}
 
 
+def test_normalize_monomial_cap():
+    # (v0 + 1)*(v1 + 1): 2 by 2 monomial pairs, then 4 by 2, then 8 by 2
+    term = parse("(v0 + 1)*(v1 + 1)*(v2 + 1)*(v3 + 1)")
+    assert len(normalize(term, max_pairs=16).coeffs) == 16
+    with pytest.raises(CapExceeded, match="16 monomial pairs in one product exceeds the limit of 15"):
+        normalize(term, max_pairs=15)
+    assert normalize(term) == normalize(term, max_pairs=16)
+
+
 def test_constructor_keeps_variables_of_zero_monomials():
     p = MultilinearPoly(("b",), {frozenset(("a",)): 0, frozenset(("c", "b")): 2})
     assert p.vars == ("a", "b", "c")
@@ -174,22 +187,69 @@ def test_expand_unexpand_inverse_random():
 
 def test_unexpand_matches_constituent_sum():
     # variables deliberately out of sorted order: bit k of a vertex
-    # belongs to the k-th listed variable, not the k-th in sorted order
+    # belongs to the k-th listed variable, not the k-th in sorted order.
+    # From m = 3 on the transform's passes use both strided and
+    # contiguous slices; above m = 6 only a sample of the one-hot
+    # tables is checked, to keep the constituent sums cheap.
     rng = random.Random(1937)
-    names = ("f", "b", "e", "a", "d", "c")
+    names = ("f", "b", "e", "a", "d", "c", "i", "g", "h")
     checked = 0
-    for m in range(7):
+    for m in range(10):
         grid = list(itertools.product((0, 1), repeat=m))
+        hots = grid if m <= 6 else rng.sample(grid, 24)
         tables = [dict.fromkeys(grid, 0)]
-        tables += [{v: rng.choice((-4, -1, 1, 3)) * (v == hot) for v in grid} for hot in grid]
-        tables += [{v: rng.randint(-4, 4) for v in grid} for _ in range(12)]
+        tables += [{v: rng.choice((-4, -1, 1, 3)) * (v == hot) for v in grid} for hot in hots]
+        tables += [{v: rng.randint(-4, 4) for v in grid} for _ in range(12 if m <= 6 else 2)]
         for table in tables:
             e = ConstituentExpansion(names[:m], table)
             got, want = unexpand(e), reference_unexpand(e)
             assert got == want
             assert got.vars == want.vars
             checked += 1
-    assert checked == 7 * 13 + 127
+    assert checked == 7 * 13 + 127 + 3 * 27
+
+
+def test_expand_matches_per_vertex_evaluation():
+    """The walk over vertex indices against ``evaluate`` at every vertex
+    tuple: equal tables with the same key order, over up to 8 variables
+    with and without cancelled ones."""
+    rng = random.Random(1847)
+    names = ("a", "b", "c", "d", "e", "f", "g", "h")
+    for _ in range(200):
+        t = random_term(rng, names[: rng.randint(1, 8)], rng.randint(1, 6))
+        for p in (normalize(t), normalize(Sub(t, t))):
+            got, want = dict(expand(p).coeff_at), reference_expand(p)
+            assert list(got.items()) == list(want.items()), t
+
+
+def assert_same_oracle(premisses, conclusion):
+    got = boole_oracle(premisses, conclusion)
+    want = reference_boole_oracle(premisses, conclusion)
+    assert got.valid == want.valid
+    if got.valid:
+        assert got.witness is None
+    else:
+        assert list(got.witness.items()) == list(want.witness.items())
+    return got
+
+
+def test_oracle_matches_dict_walk_reference_random():
+    """Verdict, least witness and the witness's key order against the
+    walk that builds a dict per vertex tuple."""
+    rng = random.Random(1915)
+    invalid = 0
+    for _ in range(300):
+        invalid += not assert_same_oracle(*random_ground_argument(rng)).valid
+    assert 30 < invalid < 270
+
+
+def test_oracle_matches_dict_walk_reference_chains():
+    for m in range(2, 11):
+        verdicts = [assert_same_oracle(*arg) for arg in chain_arguments(m)]
+        assert verdicts[0].valid
+        assert verdicts[1].witness == {f"v{i}": int(i == m - 1) for i in range(m)}
+        for k, verdict in enumerate(verdicts[2:]):
+            assert verdict.witness == {f"v{i}": int(i <= k) for i in range(m)}
 
 
 def test_expansion_requires_all_vertices():

@@ -16,7 +16,7 @@ from boolelab.terms import (
     pretty,
     variables,
 )
-from helpers import exhaustive_terms, random_term
+from helpers import exhaustive_terms, random_term, reference_parse, reference_pretty
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -117,3 +117,67 @@ def test_parser_totality_fuzz():
             parse(text)
         except ParseError as err:
             assert err.position >= 0
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as err:
+        return ("error", str(err), err.position)
+
+
+def test_parse_matches_recursive_reference():
+    """The explicit-stack parser against the recursive one: equal trees,
+    or the same message at the same position.  Texts are printed random
+    terms with extra parentheses, then some of them damaged by deleting,
+    inserting or swapping characters, plus random strings."""
+    rng = random.Random(1854)
+    alphabet = "xy01+-*() 2"
+    texts = []
+    for _ in range(600):
+        text = pretty(random_term(rng, ("x", "y", "z"), rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, len(text))
+            j = rng.randint(i, len(text))
+            text = text[:i] + "(" + text[i:j] + ")" + text[j:]
+        texts.append(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(("delete", "insert", "swap"))
+            if edit == "delete":
+                text = text[:i] + text[i + 1 :]
+            elif edit == "insert":
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            else:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+            texts.append(text)
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14))) for _ in range(600)]
+    errors = 0
+    for text in texts:
+        got = _parse_outcome(parse, text)
+        assert got == _parse_outcome(reference_parse, text), text
+        errors += isinstance(got, tuple)
+    assert 300 < errors < len(texts) - 300
+
+
+def test_pretty_matches_recursive_reference():
+    rng = random.Random(1815)
+    for _ in range(500):
+        t = random_term(rng, ("x", "y", "z"), rng.randint(1, 7))
+        assert pretty(t) == reference_pretty(t)
+
+
+def test_parse_and_pretty_any_depth():
+    # far past the interpreter's recursion limit; strings are compared,
+    # because comparing such deep trees would itself recurse
+    nested = "(" * 3000 + "x" + ")" * 3000
+    assert parse(nested) == x
+    t = x
+    for i in range(3000):
+        t = Sub(y, t) if i % 2 else Mul(t, Add(x, IntLit(2)))
+    text = pretty(t)
+    assert text.count("(") == 1500 + 1499  # every (x + 2), every inner difference
+    assert pretty(parse(text)) == text
+    with pytest.raises(ParseError) as info:
+        parse("(" * 3000 + "x")
+    assert info.value.position == 3001
