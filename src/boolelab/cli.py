@@ -6,42 +6,22 @@ affirmative, 1 when it comes back negative, 2 for usage or format
 errors, 3 when a size cap is exceeded.  ``--json`` switches the report
 to a JSON document in the shape of the shipped schema (boolelab/1),
 which the test suite validates every command's report against; reports
-are deterministic apart from the timing field.
+are deterministic apart from the timing field.  Exits 2 and 3 after the
+arguments parse also get a report, with status "error".
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
-from . import counterexamples as cx
-from .algebra import format_algebra, holds, holds_total
-from .classes import build_pu, semantic_consequence, verify_chi_embedding
-from .derivation import (
-    HAILPERIN,
-    SIGMA1,
-    certify_consequence,
-    check_trace,
-    format_trace,
-    parse_trace,
-    verify_certificate,
-)
 from .errors import CapExceeded
-from .horn import format_equation, parse_theory
-from .models import embeds_into_mod_bounded, enumerate_total_models, search_total_model
-from .polynomial import (
-    INTERPRETABLE,
-    boole_oracle,
-    check_var_cap,
-    expand,
-    interpretability,
-    normalize,
-)
-from .problems import parse_problem
-from .terms import ParseError, parse, pretty, variables
+
+# Each handler imports the modules it calls, so a call loads only what
+# its command runs: ``normalize`` needs terms and polynomial, not the
+# class algebras, the model search or the derivation checker.
 
 DEFAULT_MAX_VARS = 20
 DEFAULT_MAX_UNIVERSE = 5
@@ -156,10 +136,14 @@ def _caps(args) -> dict:
 def _normalize_capped(term, max_vars: int):
     """Normal form with the monomial cap the variable cap implies: no
     product step may multiply more than 2^max_vars monomial pairs."""
+    from .polynomial import normalize
+
     return normalize(term, max_pairs=1 << max_vars)
 
 
 def _cmd_normalize(args, caps):
+    from .terms import parse
+
     p = _normalize_capped(parse(args.term), caps["max_vars"])
     lines = [f"term: {args.term}", f"normal form: {p}"]
     data = {
@@ -174,12 +158,17 @@ def _cmd_normalize(args, caps):
 def _capped_normal_form(text: str, max_vars: int):
     """Normal form of a term whose vertex table is about to be listed:
     the variable cap is checked first."""
+    from .polynomial import check_var_cap
+    from .terms import parse, variables
+
     term = parse(text)
     check_var_cap(variables(term), max_vars)
     return _normalize_capped(term, max_vars)
 
 
 def _cmd_expand(args, caps):
+    from .polynomial import expand
+
     e = expand(_capped_normal_form(args.term, caps["max_vars"]))
     lines = [f"term: {args.term}", "vars: " + " ".join(e.vars)]
     coeff_rows = []
@@ -191,6 +180,8 @@ def _cmd_expand(args, caps):
 
 
 def _cmd_interpret(args, caps):
+    from .polynomial import INTERPRETABLE, expand, interpretability
+
     p = _capped_normal_form(args.term, caps["max_vars"])
     verdict = interpretability(p)
     lines = [f"term: {args.term}", f"normal form: {p}", f"verdict: {verdict.kind}"]
@@ -207,6 +198,12 @@ def _cmd_interpret(args, caps):
 
 
 def _cmd_check(args, caps):
+    from .classes import semantic_consequence
+    from .derivation import certify_consequence, verify_certificate
+    from .horn import format_equation
+    from .polynomial import boole_oracle
+    from .problems import parse_problem
+
     with open(args.problem) as fh:
         problem = parse_problem(fh.read())
     lines = [f"problem: {args.problem}"]
@@ -282,6 +279,8 @@ def _cmd_check(args, caps):
         }
         affirmative.append(semantic.valid)
     if args.trace is not None:
+        from .derivation import check_trace, parse_trace
+
         with open(args.trace) as fh:
             trace = parse_trace(fh.read(), premisses=problem.premisses)
         verdict = check_trace(trace, problem.mode)
@@ -309,6 +308,8 @@ def _cmd_check(args, caps):
 
 
 def _cmd_embed(args, caps):
+    from .classes import verify_chi_embedding
+
     verdict = verify_chi_embedding(args.boole, max_n=caps["max_universe"])
     if verdict.ok:
         lines = [
@@ -330,6 +331,10 @@ def _cmd_embed(args, caps):
 
 
 def _cmd_model_search(args, caps):
+    from .algebra import format_algebra
+    from .horn import parse_theory
+    from .models import search_total_model
+
     with open(args.theory) as fh:
         sentences = parse_theory(fh.read())
     model = search_total_model(sentences, args.size, max_size=caps["max_model_size"])
@@ -351,6 +356,9 @@ def _cmd_counterexample(args, caps):
 
 
 def _counterexample_intro():
+    from . import counterexamples as cx
+    from .algebra import format_algebra, holds
+
     algebra = cx.intro_algebra()
     law1, law2 = cx.intro_laws()
     collapse = cx.intro_collapse()
@@ -384,6 +392,11 @@ def _counterexample_intro():
 
 
 def _counterexample_cx(caps):
+    from . import counterexamples as cx
+    from .classes import build_pu, semantic_consequence
+    from .derivation import HAILPERIN, SIGMA1, check_trace, format_trace
+    from .horn import format_equation
+
     trace = cx.cx_trace()
     sigma1 = check_trace(trace, SIGMA1)
     hailperin = check_trace(trace, HAILPERIN)
@@ -447,6 +460,11 @@ def _counterexample_cx(caps):
 
 
 def _cmd_theorem_demo(args, caps):
+    from . import counterexamples as cx
+    from .algebra import holds, holds_total
+    from .classes import verify_chi_embedding
+    from .models import embeds_into_mod_bounded, enumerate_total_models
+
     lines = ["theorem-demo"]
     data: dict = {"chi": [], "principles_failure": {}}
     all_ok = True
@@ -520,28 +538,37 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    """Execute one CLI invocation and return its exit code."""
+    """Execute one CLI invocation and return its exit code.
+
+    A usage error or an exceeded cap after the arguments parse prints
+    one line to stderr; under ``--json`` it also prints a report with
+    status "error" and the message in ``data.error``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     start = time.perf_counter()
+    status = "ok"
     try:
         code, lines, data = _HANDLERS[args.command](args, _caps(args))
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValueError, OSError) as exc:
+        code, status, data = 3, "error", {"error": str(exc)}
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, status, data = 2, "error", {"error": str(exc)}
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if status == "error" and not args.json:
+        return code
     try:
         if args.json:
+            import json
+
             report = {
                 "schema": "boolelab/1",
                 "command": args.command,
-                "status": "ok",
+                "status": status,
                 "exit_code": code,
                 "data": data,
                 "timing_ms": round(elapsed_ms, 3),

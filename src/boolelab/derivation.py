@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import CapExceeded
 from .polynomial import (
     MultilinearPoly,
     _bit_terms,
@@ -43,6 +44,7 @@ from .terms import (
     Term,
     Var,
     count_var,
+    depth,
     parse,
     pretty,
     replaced_once,
@@ -54,6 +56,12 @@ SIGMA1 = "sigma1"
 MODES = (HAILPERIN, SIGMA1)
 
 HOLE = "HOLE"
+
+# Deepest term a trace file may carry, in its steps, its rule arguments
+# or the problem's premisses.  Checking a step compares, substitutes
+# and rewrites terms recursively, at about three interpreter frames per
+# level, so this keeps a check well inside the default recursion limit.
+MAX_TRACE_DEPTH = 100
 
 
 # ---------------------------------------------------------------- certificates
@@ -484,9 +492,21 @@ def _parse_rule(text: str):
     raise ValueError(f"unknown rule name {name!r}")
 
 
+def _check_depth(where: str, terms) -> None:
+    for t in terms:
+        d = depth(t)
+        if d > MAX_TRACE_DEPTH:
+            raise CapExceeded(
+                f"{where}: term depth {d} exceeds the limit of {MAX_TRACE_DEPTH}"
+            )
+
+
 def parse_trace(text: str, premisses=()) -> DerivationTrace:
     """Parse the numbered-step trace format; steps must be numbered
-    consecutively from 1."""
+    consecutively from 1.  A term deeper than MAX_TRACE_DEPTH, in a
+    step or among the premisses, raises CapExceeded."""
+    for i, equation in enumerate(premisses, 1):
+        _check_depth(f"premiss {i}", equation)
     steps = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -507,5 +527,8 @@ def parse_trace(text: str, premisses=()) -> DerivationTrace:
         if body.count("=") != 1:
             raise ValueError(f"line {lineno}: step needs exactly one '='")
         lhs_text, _, rhs_text = body.partition("=")
-        steps.append(TraceStep(parse(lhs_text), parse(rhs_text), rule))
+        lhs, rhs = parse(lhs_text), parse(rhs_text)
+        arguments = [v for v in vars(rule).values() if isinstance(v, Term)]
+        _check_depth(f"line {lineno}", (lhs, rhs, *arguments))
+        steps.append(TraceStep(lhs, rhs, rule))
     return DerivationTrace(tuple(premisses), tuple(steps))

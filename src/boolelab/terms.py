@@ -240,7 +240,15 @@ def replaced_once(t: Term, pattern: Term, replacement: Term):
 
 
 def depth(t: Term) -> int:
-    """Nodes on the longest root-to-leaf path; a leaf has depth 1."""
-    if isinstance(t, (Add, Sub, Mul)):
-        return 1 + max(depth(t.left), depth(t.right))
-    return 1
+    """Nodes on the longest root-to-leaf path; a leaf has depth 1.  The
+    walk is iterative, so any depth is fine."""
+    deepest = 0
+    todo = [(t, 1)]
+    while todo:
+        node, d = todo.pop()
+        if isinstance(node, (Add, Sub, Mul)):
+            todo.append((node.left, d + 1))
+            todo.append((node.right, d + 1))
+        elif d > deepest:
+            deepest = d
+    return deepest

@@ -16,6 +16,9 @@ the tokens of ``terms._tokenize``; their loops are independent.
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from boolelab.algebra import UNDEFINED, FinitePartialAlgebra, UnknownSymbolError
 from boolelab.classes import build_pu
@@ -160,6 +163,21 @@ def strip_timing(text: str) -> str:
     stable."""
     lines = [ln for ln in text.splitlines() if not ln.startswith("time: ")]
     return "\n".join(lines)
+
+
+def modules_after(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code`` with
+    ``argv``, boolelab's submodules named without the package prefix."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('modules:', *sys.modules)", *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(Path(__file__).resolve().parents[1]),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.splitlines()[-1].split()[1:]
+    return {name.removeprefix("boolelab.") for name in names}
 
 
 # ------------------------------------------------ reference model search

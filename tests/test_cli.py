@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, reports."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,11 +10,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
-from boolelab.derivation import format_trace
-from helpers import strip_timing
+from boolelab.derivation import MAX_TRACE_DEPTH, format_trace
+from helpers import modules_after, strip_timing
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 BARBARA = str(PKG_ROOT / "problems" / "barbara.prob")
@@ -26,13 +30,13 @@ def invoke(capsys, argv):
     return code, out
 
 
+SCHEMA = json.loads(resources.files("boolelab").joinpath("report.schema.json").read_text())
+
+
 def invoke_json(capsys, argv):
     code = run(["--json"] + argv)
     doc = json.loads(capsys.readouterr().out)
-    schema = json.loads(
-        resources.files("boolelab").joinpath("report.schema.json").read_text()
-    )
-    jsonschema.validate(doc, schema)
+    jsonschema.validate(doc, SCHEMA)
     assert doc["schema"] == "boolelab/1"
     assert doc["exit_code"] == code
     return code, doc
@@ -381,6 +385,45 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+_COMMANDS = SCHEMA["properties"]["command"]["enum"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ["normalize", "x +"],
+            2,
+            "syntax error at position 3: expected a variable, an integer, or '(',"
+            " got end of input",
+        ),
+        (["--max-vars", "2", "expand", "a+b+c"], 3, "3 variables exceeds the limit of 2"),
+        (["embed", "--boole", "9"], 3, "universe size 9 exceeds the limit of 5"),
+        (
+            ["check", str(PKG_ROOT / "problems" / "missing.prob")],
+            2,
+            f"[Errno 2] No such file or directory: '{PKG_ROOT / 'problems' / 'missing.prob'}'",
+        ),
+    ],
+)
+def test_json_error_report(capsys, argv, code, message):
+    assert run(argv) == code
+    text = capsys.readouterr()
+    assert text.out == ""
+    assert run(["--json"] + argv) == code
+    captured = capsys.readouterr()
+    # the stderr line is the same with and without --json
+    assert captured.err == text.err
+    assert captured.err == f"{'cap exceeded' if code == 3 else 'error'}: {message}\n"
+    doc = json.loads(captured.out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["status"] == "error"
+    assert doc["exit_code"] == code
+    assert doc["command"] == next(a for a in argv if a in _COMMANDS)
+    assert doc["data"] == {"error": message}
+    assert doc["timing_ms"] >= 0
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
@@ -412,17 +455,18 @@ def test_module_entry_point():
 
 
 def test_interpret_expands_once(capsys, monkeypatch):
-    import boolelab.cli as cli
+    import boolelab.polynomial as polynomial
 
     _, before = invoke(capsys, ["interpret", "a + b + c"])
     calls = []
-    original = cli.expand
+    original = polynomial.expand
 
     def counting_expand(p):
         calls.append(p)
         return original(p)
 
-    monkeypatch.setattr(cli, "expand", counting_expand)
+    # the handler imports expand when it runs, so patch its home module
+    monkeypatch.setattr(polynomial, "expand", counting_expand)
     code, after = invoke(capsys, ["interpret", "a + b + c"])
     assert code == 1
     assert len(calls) == 1
@@ -445,3 +489,122 @@ def test_closed_pipe_exits_without_traceback(argv):
     assert proc.wait(timeout=60) in (0, 1)
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+def _nested_sum(depth, leaf="x"):
+    """x + (x + (... + leaf)), a term of the given depth."""
+    return "x + (" * (depth - 1) + leaf + ")" * (depth - 1)
+
+
+def _deep_trace_problem(tmp_path, depth, premiss_depth=None):
+    deep = _nested_sum(depth)
+    context = _nested_sum(depth, leaf="HOLE")
+    half = _nested_sum(depth - 1)
+    premiss = _nested_sum(premiss_depth or MAX_TRACE_DEPTH)
+    problem = tmp_path / "deep.prob"
+    problem.write_text(f"premiss: {premiss} = {premiss}\nconclude: x = x\nmode: sigma1\n")
+    trace = tmp_path / "deep.trace"
+    trace.write_text(
+        f"1: {deep} = {deep} [Refl]\n"
+        f"2: {deep} = {deep} [Sym 1]\n"
+        f"3: {deep} = {deep} [Trans 1 2]\n"
+        f"4: {deep} = {deep} [RingAxiomInstance]\n"
+        f"5: {deep} = {deep} [IntegerSimplification 4]\n"
+        "6: x = x [Refl]\n"
+        f"7: {deep} = {deep} [Congruence 6 {context}]\n"
+        f"8: ({half})*({half}) = {half} [DeltaIdempotence {half}]\n"
+        f"9: {premiss} = {premiss} [Premiss]\n"
+    )
+    return ["check", str(problem), "--mode", "oracle", "--trace", str(trace)]
+
+
+def test_trace_at_the_depth_bound_is_checked(capsys, tmp_path):
+    code, out = invoke(capsys, _deep_trace_problem(tmp_path, MAX_TRACE_DEPTH))
+    assert code == 0
+    assert "trace (sigma1): accepted" in out
+
+
+@pytest.mark.parametrize("where", ["step", "argument", "premiss"])
+def test_trace_over_the_depth_bound_exits_three(capsys, tmp_path, where):
+    over = MAX_TRACE_DEPTH + 1
+    if where == "premiss":
+        argv = _deep_trace_problem(tmp_path, MAX_TRACE_DEPTH, premiss_depth=over)
+        message = "premiss 1"
+    else:
+        argv, message = _deep_trace_problem(tmp_path, over), "line 1"
+    if where == "argument":
+        context = _nested_sum(over, leaf="HOLE")
+        (tmp_path / "deep.trace").write_text(f"1: x = x [Congruence 1 {context}]\n")
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"cap exceeded: {message}: term depth {over} exceeds the limit of {MAX_TRACE_DEPTH}\n"
+    )
+
+
+def test_very_deep_trace_step_exits_three(capsys, tmp_path):
+    # 1200 deep ended in a RecursionError from term equality
+    problem = tmp_path / "p.prob"
+    problem.write_text("conclude: x = x\n")
+    trace = tmp_path / "t.trace"
+    deep = _nested_sum(1200)
+    trace.write_text(f"1: {deep} = {deep} [Refl]\n")
+    assert run(["check", str(problem), "--trace", str(trace)]) == 3
+    assert "term depth 1200 exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (
+            ["normalize", "x"],
+            {"models", "algebra", "classes", "derivation", "horn", "problems",
+             "counterexamples", "json"},
+        ),
+        (["check", "problems/barbara.prob"], {"models", "counterexamples", "json"}),
+        (["--json", "check", "problems/barbara.prob"], {"models", "counterexamples"}),
+        (["counterexample", "cx"], {"models", "problems"}),
+    ],
+)
+def test_command_loads_only_the_modules_it_runs(argv, absent):
+    code = "import sys\nfrom boolelab.cli import run\nif run(sys.argv[1:]):\n    sys.exit(1)"
+    loaded = modules_after(code, *argv)
+    assert not loaded & absent
+    assert {"cli", "terms"} <= loaded
+    if argv[0] == "--json":
+        assert "json" in loaded
+
+
+def _nestings():
+    """Deep or long inputs built from a size: parentheses (balanced or
+    not), right-nested sums, long chains and long literals."""
+    size = st.integers(min_value=1, max_value=3000)
+    inner = st.sampled_from(["x", "1 - x", "x y", "", "x +", "2x*(y - 1)"])
+    return st.one_of(
+        st.builds(lambda n, m, t: "(" * n + t + ")" * m, size, size, inner),
+        st.builds(lambda n, t: "x + (" * n + t + ")" * n, size, inner),
+        st.builds(lambda n, op: op.join(["x"] * n), size, st.sampled_from(["+", "-", "*", " "])),
+        st.builds(lambda n: "9" * n, st.integers(min_value=1, max_value=6000)),
+    )
+
+
+_TERM_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="xyz0129+-*() ", max_size=40),
+    _nestings(),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["normalize", "expand", "interpret"]),
+    text=_TERM_TEXT,
+    as_json=st.booleans(),
+    max_vars=st.integers(min_value=1, max_value=10),
+)
+def test_any_term_text_gets_an_exit_code(command, text, as_json, max_vars):
+    argv = ["--json"] * as_json + ["--max-vars", str(max_vars), command, "--", text]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)

@@ -92,6 +92,10 @@ def test_depth_counts_leaves_as_one():
     assert depth(x) == 1
     assert depth(parse("x + y")) == 2
     assert depth(parse("x*(y + z)")) == 3
+    assert depth(parse("x + (y + z)*y - x")) == 5
+    # iterative: far past the interpreter's recursion limit
+    assert depth(parse("x + (" * 2999 + "y" + ")" * 2999)) == 3000
+    assert depth(parse("+".join(["x"] * 3000))) == 3000
 
 
 def test_round_trip_random():
