@@ -30,10 +30,9 @@ has a single line ``-> e``.  The format round-trips exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Value
 from .horn import FALSUM, HornSentence
 from .terms import Add, IntLit, Mul, Sub, Term, Var, variables
 
@@ -60,8 +59,7 @@ class UnknownSymbolError(ValueError):
     """A term used a variable or operation the context does not supply."""
 
 
-@dataclass(frozen=True)
-class FinitePartialAlgebra:
+class FinitePartialAlgebra(Value):
     """Named carrier, signature of (name, arity) pairs, partial tables.
 
     Tables map argument tuples to carrier elements; constants are
@@ -267,8 +265,7 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
     return UNDEFINED if v < 0 else algebra.carrier[v]
 
 
-@dataclass(frozen=True)
-class SatisfactionVerdict:
+class SatisfactionVerdict(Value):
     """Holds, or fails with the least falsifying assignment."""
 
     holds: bool
@@ -316,8 +313,7 @@ def holds_total(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisf
     return holds(algebra, sentence)
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(Value):
     """Yes, or no with a reason."""
 
     ok: bool
@@ -409,8 +405,7 @@ def _entries_consistent(q, entries, mapping) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """The positive diagram and the distinctness constraints of a
     finite partial algebra, as ground data."""
 

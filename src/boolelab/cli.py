@@ -133,6 +133,36 @@ def _caps(args) -> dict:
     }
 
 
+def _digit_limit() -> int:
+    """The most digits the interpreter converts between an int and its
+    decimal text; 0 means no limit (as on releases before 3.10.7)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _parse_term(text: str):
+    """The term of a command argument.  A literal longer than the digit
+    limit is a cap, not a format error: the interpreter would refuse to
+    read it."""
+    from .terms import parse
+
+    limit = _digit_limit()
+    if limit:
+        import re
+
+        if re.search(rf"(?<!\w)\d{{{limit + 1}}}", text):
+            raise CapExceeded(f"an integer literal exceeds the limit of {limit} digits")
+    return parse(text)
+
+
+def _check_printable(values) -> None:
+    """Raise CapExceeded for an integer of the result longer than the
+    digit limit, which the interpreter would refuse to print."""
+    limit = _digit_limit()
+    # 10**limit has more than 3*limit bits, so a shorter value fits
+    if limit and any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in values):
+        raise CapExceeded(f"a coefficient of the result exceeds the limit of {limit} digits")
+
+
 def _normalize_capped(term, max_vars: int):
     """Normal form with the monomial cap the variable cap implies: no
     product step may multiply more than 2^max_vars monomial pairs."""
@@ -142,9 +172,8 @@ def _normalize_capped(term, max_vars: int):
 
 
 def _cmd_normalize(args, caps):
-    from .terms import parse
-
-    p = _normalize_capped(parse(args.term), caps["max_vars"])
+    p = _normalize_capped(_parse_term(args.term), caps["max_vars"])
+    _check_printable(p.coeffs.values())
     lines = [f"term: {args.term}", f"normal form: {p}"]
     data = {
         "term": args.term,
@@ -159,9 +188,9 @@ def _capped_normal_form(text: str, max_vars: int):
     """Normal form of a term whose vertex table is about to be listed:
     the variable cap is checked first."""
     from .polynomial import check_var_cap
-    from .terms import parse, variables
+    from .terms import variables
 
-    term = parse(text)
+    term = _parse_term(text)
     check_var_cap(variables(term), max_vars)
     return _normalize_capped(term, max_vars)
 
@@ -170,6 +199,7 @@ def _cmd_expand(args, caps):
     from .polynomial import expand
 
     e = expand(_capped_normal_form(args.term, caps["max_vars"]))
+    _check_printable(e.coeff_at.values())
     lines = [f"term: {args.term}", "vars: " + " ".join(e.vars)]
     coeff_rows = []
     for v in e.vertices():
@@ -183,9 +213,11 @@ def _cmd_interpret(args, caps):
     from .polynomial import INTERPRETABLE, expand, interpretability
 
     p = _capped_normal_form(args.term, caps["max_vars"])
+    _check_printable(p.coeffs.values())
     verdict = interpretability(p)
     lines = [f"term: {args.term}", f"normal form: {p}", f"verdict: {verdict.kind}"]
     coeff_at = expand(p).coeff_at if verdict.bad_vertices else {}
+    _check_printable(coeff_at[v] for v in verdict.bad_vertices)
     for v in verdict.bad_vertices:
         lines.append(f"bad constituent {_bits(v)}: coefficient {coeff_at[v]}")
     data = {
@@ -244,6 +276,7 @@ def _cmd_check(args, caps):
             affirmative.append(False)
             symbolic.append(False)
         else:
+            _check_printable([cert.n, *(c for cof in cert.cofactors for c in cof.coeffs.values())])
             checked = verify_certificate(problem.premisses, problem.conclusion, cert)
             state = "verified" if checked.verified else "REJECTED"
             lines.append(f"certificate: {state} (n={cert.n})")

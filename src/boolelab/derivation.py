@@ -25,9 +25,8 @@ contexts mark the hole with the reserved identifier HOLE).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Value
 from .polynomial import (
     MultilinearPoly,
     _bit_terms,
@@ -67,8 +66,7 @@ MAX_TRACE_DEPTH = 100
 # ---------------------------------------------------------------- certificates
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """A verified-checkable witness of symbolic consequence."""
 
     n: int
@@ -92,8 +90,7 @@ class Certificate:
         return cls(int(data["n"]), cofactors)
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(Value):
     """Verified, or rejected with the nonzero residual."""
 
     verified: bool
@@ -194,63 +191,52 @@ def certify_consequence(premisses, conclusion, max_vars: int = 20) -> Certificat
 # ---------------------------------------------------------------------- traces
 
 
-@dataclass(frozen=True)
-class Premiss:
+class Premiss(Value):
     pass
 
 
-@dataclass(frozen=True)
-class RingAxiomInstance:
+class RingAxiomInstance(Value):
     pass
 
 
-@dataclass(frozen=True)
-class DeltaIdempotence:
+class DeltaIdempotence(Value):
     target: Term
 
 
-@dataclass(frozen=True)
-class Refl:
+class Refl(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Value):
     step: int
 
 
-@dataclass(frozen=True)
-class Trans:
+class Trans(Value):
     first: int
     second: int
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Value):
     step: int
     context: Term  # exactly one occurrence of Var("HOLE")
 
 
-@dataclass(frozen=True)
-class NoNilpotent:
+class NoNilpotent(Value):
     step: int
     n: int
 
 
-@dataclass(frozen=True)
-class IntegerSimplification:
+class IntegerSimplification(Value):
     step: int
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Value):
     lhs: Term
     rhs: Term
     rule: object
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(Value):
     premisses: tuple
     steps: tuple[TraceStep, ...]
 
@@ -262,8 +248,7 @@ class DerivationTrace:
         return (last.lhs, last.rhs)
 
 
-@dataclass(frozen=True)
-class TraceVerdict:
+class TraceVerdict(Value):
     """Accepted, or rejected at a 1-based step with a reason."""
 
     accepted: bool

@@ -14,8 +14,7 @@ where each equation is ``term = term`` in the term grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Value
 from .terms import Mul, Term, Var, parse, pretty, substitute, variables
 
 
@@ -51,8 +50,7 @@ def parse_equation(text: str) -> Equation:
     return (parse(lhs), parse(rhs))
 
 
-@dataclass(frozen=True)
-class HornSentence:
+class HornSentence(Value):
     """(forall vars) antecedents -> consequent.
 
     ``consequent`` is an equation or FALSUM; a falsum consequent needs
@@ -111,8 +109,7 @@ def identity(lhs: Term, rhs: Term, vars=None) -> HornSentence:
     return horn_sentence((), (lhs, rhs), vars)
 
 
-@dataclass(frozen=True)
-class Delta:
+class Delta(Value):
     """Conjunction of atomic conditions in one variable, used as the
     guard prepended by relativization."""
 

@@ -31,10 +31,9 @@ refused before any instance is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import _OP_NAMES, FinitePartialAlgebra, _compile, _eval, search_embedding
-from .errors import CapExceeded
+from .errors import CapExceeded, Value
 from .horn import FALSUM, HornSentence, horn_sentence, identity
 from .terms import Add, IntLit, Mul, Sub, Term, Var
 
@@ -207,8 +206,7 @@ def search_total_model(sentences, size: int, max_size: int = MAX_MODEL_SIZE):
     return next(enumerate_total_models(sentences, size), None)
 
 
-@dataclass(frozen=True)
-class EmbedSearchResult:
+class EmbedSearchResult(Value):
     """A model-and-embedding witness, or the exhausted bound."""
 
     max_size: int

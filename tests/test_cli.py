@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
 from boolelab.derivation import MAX_TRACE_DEPTH, format_trace
+from boolelab.terms import parse
 from helpers import modules_after, strip_timing
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +131,20 @@ def test_check_json_verdicts(capsys):
     assert verdicts["certificate"]["n"] == 1
     assert verdicts["semantic"]["valid"] is True
     assert "disagreement" not in doc["data"]
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [("oracle", {"valid": "yes"}), ("oracle", {"witness": 1}), ("certificate", {"n": 0})],
+)
+def test_schema_checks_the_check_verdicts(capsys, where, bad):
+    _, doc = invoke_json(capsys, ["check", BARBARA])
+    doc["data"]["verdicts"][where].update(bad)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
+    # only a produced certificate carries n and cofactors
+    doc["data"]["verdicts"] = {"certificate": {"produced": False}}
+    jsonschema.validate(doc, SCHEMA)
 
 
 def test_check_trace_disagreement(capsys, tmp_path):
@@ -422,6 +437,58 @@ def test_json_error_report(capsys, argv, code, message):
     assert doc["command"] == next(a for a in argv if a in _COMMANDS)
     assert doc["data"] == {"error": message}
     assert doc["timing_ms"] >= 0
+
+
+DIGITS = sys.get_int_max_str_digits()
+# (10**h)**2 has one digit more than the limit, (10**h - 1)**2 has it exactly
+_HALF = DIGITS // 2
+
+
+def _lcm_problem(tmp_path) -> str:
+    """x = 0 from a premiss whose differences at x=1 are two coprime
+    numbers of more than half the limit: the certificate's n is their
+    product."""
+    a, b = 10 ** (_HALF + 50), 10 ** (_HALF + 50) + 1
+    problem = tmp_path / "lcm.prob"
+    problem.write_text(f"premiss: {a} x y + {b} x - {b} x y = 0\nconclude: x = 0\n")
+    return str(problem)
+
+
+@pytest.mark.skipif(not DIGITS, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["normalize", "9" * (DIGITS + 1)], f"an integer literal exceeds the limit of {DIGITS} digits"),
+        (["interpret", "x + " + "9" * (DIGITS + 1)], f"an integer literal exceeds the limit of {DIGITS} digits"),
+        (["normalize", f"{10 ** _HALF} * {10 ** _HALF}"], f"a coefficient of the result exceeds the limit of {DIGITS} digits"),
+        (["expand", f"{10 ** _HALF} * {10 ** _HALF} x"], f"a coefficient of the result exceeds the limit of {DIGITS} digits"),
+        (["interpret", f"{10 ** _HALF} * {10 ** _HALF}"], f"a coefficient of the result exceeds the limit of {DIGITS} digits"),
+        (["check", "LCM", "--mode", "certificate"], f"a coefficient of the result exceeds the limit of {DIGITS} digits"),
+    ],
+    ids=["literal", "literal-in-sum", "normal-form", "vertex", "interpret", "certificate"],
+)
+def test_integers_over_the_digit_limit_exit_three(capsys, tmp_path, argv, message):
+    argv = [_lcm_problem(tmp_path) if a == "LCM" else a for a in argv]
+    for prefix in ([], ["--json"]):
+        assert run(prefix + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"cap exceeded: {message}\n"
+    doc = json.loads(captured.out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["data"] == {"error": message}
+
+
+@pytest.mark.skipif(not DIGITS, reason="the interpreter has no digit limit")
+def test_integers_at_the_digit_limit_print(capsys):
+    nines = "9" * DIGITS
+    code, out = invoke(capsys, ["normalize", f"0 - {nines}"])
+    assert code == 0 and f"normal form: -{nines}\n" in out
+    square = str((10**_HALF - 1) ** 2)
+    code, doc = invoke_json(capsys, ["expand", f"{'9' * _HALF} * {'9' * _HALF} x"])
+    assert code == 0 and [row["coeff"] for row in doc["data"]["coefficients"]] == [0, int(square)]
+    # the library itself still leaves the conversion to the interpreter
+    with pytest.raises(ValueError):
+        parse("9" * (DIGITS + 1))
 
 
 def test_help_exits_zero(capsys):

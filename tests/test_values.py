@@ -1,0 +1,310 @@
+"""The value classes: hand-written term nodes and ``errors.Value``
+records behave as the frozen dataclasses they replaced."""
+
+import copy
+import dataclasses
+import inspect
+import pickle
+import random
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import boolelab
+from boolelab.algebra import CheckVerdict, FinitePartialAlgebra, Presentation, SatisfactionVerdict
+from boolelab.classes import ChiVerdict, ClassAlgebra, IntVector, SemanticVerdict
+from boolelab.derivation import (
+    Certificate,
+    CertificateCheck,
+    Congruence,
+    DeltaIdempotence,
+    DerivationTrace,
+    IntegerSimplification,
+    NoNilpotent,
+    Premiss,
+    Refl,
+    RingAxiomInstance,
+    Sym,
+    TraceStep,
+    TraceVerdict,
+    Trans,
+)
+from boolelab.errors import Value
+from boolelab.horn import FALSUM, Delta, HornSentence
+from boolelab.models import EmbedSearchResult
+from boolelab.polynomial import (
+    InterpretVerdict,
+    MultilinearPoly,
+    OracleVerdict,
+    expand,
+    normalize,
+)
+from boolelab.problems import Problem
+from boolelab.terms import Add, IntLit, Mul, Sub, Term, Var, parse
+from helpers import (
+    random_term,
+    reference_Add,
+    reference_Certificate,
+    reference_IntLit,
+    reference_Mul,
+    reference_OracleVerdict,
+    reference_Sub,
+    reference_term,
+    reference_Var,
+    snippet_output,
+)
+
+SUBMODULES = sorted(p.stem for p in Path(boolelab.__file__).parent.glob("[a-z]*.py"))
+
+
+def _random_terms(count=500, seed=20140):
+    rng = random.Random(seed)
+    return [random_term(rng, ("x", "y", "z"), rng.randint(1, 5)) for _ in range(count)]
+
+
+def test_terms_agree_with_the_reference_dataclasses():
+    terms = _random_terms()
+    refs = [reference_term(t) for t in terms]
+    for t, r in zip(terms, refs):
+        assert repr(t) == repr(r)
+        assert hash(t) == hash(r)
+        assert t == rebuilt(t)
+    for t, r in zip(terms, refs):
+        for u, s in zip(terms, refs):
+            assert (t == u) == (r == s)
+            assert (t != u) == (r != s)
+
+
+def rebuilt(t):
+    """An equal tree that shares no node with t."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, IntLit):
+        return IntLit(t.value)
+    return type(t)(rebuilt(t.left), rebuilt(t.right))
+
+
+def test_class_is_part_of_equality():
+    assert Premiss() != Refl()
+    assert Sym(1) != IntegerSimplification(1)
+    a, b = Var("a"), Var("b")
+    assert Add(a, b) != Sub(a, b)
+    assert Add(a, b) != Mul(a, b)
+    assert Sub(a, b) != Mul(a, b)
+    assert Add(a, b) == Add(Var("a"), Var("b"))
+    assert Var("x") != IntLit(1) and IntLit(1) != Var("x")
+    assert reference_Add(1, 2) != reference_Sub(1, 2)
+
+
+_NODES = [Var("x"), IntLit(3), Add(Var("x"), IntLit(1)), Sub(IntLit(0), Var("y")), Mul(Var("x"), Var("x"))]
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_term_fields_are_read_only(node):
+    field = "name" if isinstance(node, Var) else "value" if isinstance(node, IntLit) else "left"
+    with pytest.raises(AttributeError):
+        setattr(node, field, Var("z"))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert getattr(node, field) is not None
+
+
+def _error(call):
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+_BAD_CALLS = [
+    ("Var", (), {}),
+    ("Var", ("1x",), {}),
+    ("Var", ("",), {}),
+    ("Var", ("x", "y"), {}),
+    ("Var", (), {"nom": "x"}),
+    ("IntLit", (-1,), {}),
+    ("IntLit", (), {}),
+    ("IntLit", (1, 2), {}),
+    ("Add", (), {}),
+    ("Add", (1,), {}),
+    ("Sub", (1, 2, 3), {}),
+    ("Mul", (1,), {"left": 2}),
+    ("Mul", (1, 2), {"other": 3}),
+    ("OracleVerdict", (), {}),
+    ("OracleVerdict", (True, None, 3), {}),
+    ("OracleVerdict", (True,), {"valid": False}),
+    ("OracleVerdict", (True,), {"witnes": {}}),
+    ("Certificate", (0, ()), {}),
+    ("Certificate", (1,), {}),
+    ("Certificate", (), {}),
+    ("Certificate", (1, (), 3), {}),
+    ("Certificate", (), {"cofactors": ()}),
+]
+
+_NEW = {"Var": Var, "IntLit": IntLit, "Add": Add, "Sub": Sub, "Mul": Mul,
+        "OracleVerdict": OracleVerdict, "Certificate": Certificate}
+_REFERENCE = {"Var": reference_Var, "IntLit": reference_IntLit, "Add": reference_Add,
+              "Sub": reference_Sub, "Mul": reference_Mul,
+              "OracleVerdict": reference_OracleVerdict, "Certificate": reference_Certificate}
+
+
+@pytest.mark.parametrize("name, args, kwargs", _BAD_CALLS)
+def test_construction_errors_are_unchanged(name, args, kwargs):
+    new = _error(lambda: _NEW[name](*args, **kwargs))
+    assert new == _error(lambda: _REFERENCE[name](*args, **kwargs))
+
+
+def test_missing_arguments_are_listed_as_a_def_lists_them():
+    class Three(Value):
+        a: int
+        b: int
+        c: int
+
+    assert _error(lambda: Three())[1] == (
+        "test_missing_arguments_are_listed_as_a_def_lists_them.<locals>.Three.__init__()"
+        " missing 3 required positional arguments: 'a', 'b', and 'c'"
+    )
+    assert _error(lambda: Three(1))[1].endswith("arguments: 'b' and 'c'")
+    assert _error(lambda: Premiss(1))[1] == (
+        "Premiss.__init__() takes 1 positional argument but 2 were given"
+    )
+
+
+def test_verdicts_agree_with_the_reference_dataclasses():
+    poly = normalize(parse("x - x*y"))
+    pairs = [
+        (OracleVerdict(True), reference_OracleVerdict(True)),
+        (OracleVerdict(False, {"x": 1, "y": 0}), reference_OracleVerdict(False, {"x": 1, "y": 0})),
+        (OracleVerdict(valid=False, witness={}), reference_OracleVerdict(False, {})),
+        (Certificate(2, (poly,)), reference_Certificate(2, (poly,))),
+        (Certificate(cofactors=(), n=1), reference_Certificate(1, ())),
+    ]
+    for new, ref in pairs:
+        assert repr(new) == repr(ref)
+        assert new == type(new)(*dataclasses.astuple(ref, tuple_factory=tuple))
+        assert new != ref
+    for new, ref in pairs[:1] + pairs[3:]:
+        assert hash(new) == hash(ref)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(pairs[1][0])
+
+
+def test_value_fields_are_read_only_and_defaults_apply():
+    v = TraceVerdict(False, 3)
+    assert (v.accepted, v.step, v.reason) == (False, 3, None)
+    assert vars(Trans(1, 2)) == {"first": 1, "second": 2}
+    with pytest.raises(AttributeError, match="cannot assign to field 'step'"):
+        v.step = 4
+    with pytest.raises(AttributeError, match="cannot delete field 'step'"):
+        del v.step
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    eq = (Var("x"), Var("x"))
+    assert (Problem((), eq).mode, Problem((), eq).max_n) == ("hailperin", 3)
+    assert Problem((), eq, "sigma1").max_n == 3
+
+
+def test_own_equality_and_cached_properties_survive():
+    a = FinitePartialAlgebra(("0",), (("+", 2),), {"+": {}})
+    b = FinitePartialAlgebra(("0",), (("+", 2),), {})
+    assert a == b and hash(a) == hash(b)  # empty tables do not count
+    assert a._layout is a._layout
+
+
+def _samples():
+    x, y = Var("x"), Var("y")
+    poly = normalize(parse("x - x*y"))
+    algebra = FinitePartialAlgebra(
+        ("0", "1"), (("+", 2), ("0", 0)), {"+": {("0", "0"): "0", ("0", "1"): "1"}, "0": {(): "0"}}
+    )
+    rule = Congruence(1, Add(Var("HOLE"), y))
+    step = TraceStep(x, x, Refl())
+    return _NODES + [
+        algebra,
+        SatisfactionVerdict(False, {"x": "0"}),
+        CheckVerdict(False, "no"),
+        Presentation(tuple(algebra.defined_entries()), (("0", "1"),)),
+        ClassAlgebra(1, algebra),
+        IntVector((1, 0, 1)),
+        ChiVerdict(False, 3, "mismatch"),
+        SemanticVerdict(False, 3, 1, {"x": "{0}"}),
+        Certificate(2, (poly,)),
+        CertificateCheck(False, poly),
+        Premiss(),
+        RingAxiomInstance(),
+        DeltaIdempotence(Mul(x, y)),
+        Refl(),
+        Sym(1),
+        Trans(1, 2),
+        rule,
+        NoNilpotent(1, 2),
+        IntegerSimplification(1),
+        step,
+        DerivationTrace(((x, y),), (step, TraceStep(x, y, Premiss()))),
+        TraceVerdict(False, 2, "why"),
+        HornSentence(("x", "y"), ((x, y),), FALSUM),
+        HornSentence(("x",), (), (Mul(x, x), x)),
+        Delta("x", ((Mul(x, x), x),)),
+        EmbedSearchResult(4, algebra, {"0": "0"}),
+        poly,
+        expand(poly),
+        InterpretVerdict("conditionally-interpretable", ((1, 0),)),
+        OracleVerdict(False, {"x": 1}),
+        Problem(((x, y),), (y, x), "sigma1", 2),
+    ]
+
+
+def _value_classes():
+    """Every class of the package that is a value: term nodes, Value
+    subclasses, the remaining dataclasses and the polynomials."""
+    found = set()
+    for name in SUBMODULES:
+        module = import_module(f"boolelab.{name}")
+        for obj in vars(module).values():
+            if not inspect.isclass(obj) or obj.__module__ != module.__name__:
+                continue
+            if obj is Value or obj is Term or obj.__name__ == "_Binary":
+                continue
+            if issubclass(obj, (Value, Term, MultilinearPoly)) or dataclasses.is_dataclass(obj):
+                found.add(obj)
+    return found
+
+
+_ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_ROUND_TRIPS))
+def test_every_value_class_round_trips(how):
+    samples = _samples()
+    assert {type(v) for v in samples} == _value_classes()
+    for value in samples:
+        back = _ROUND_TRIPS[how](value)
+        assert type(back) is type(value)
+        assert back == value, repr(value)
+        assert repr(back) == repr(value)
+    falsum = _ROUND_TRIPS[how](HornSentence(("x", "y"), ((Var("x"), Var("y")),), FALSUM))
+    assert falsum.consequent is FALSUM
+
+
+def test_check_leaves_two_dataclasses():
+    # the benchmark's answer checks call dataclasses.replace on these two
+    code = (
+        "import inspect, sys\n"
+        "from boolelab.cli import run\n"
+        "if run(sys.argv[1:]):\n"
+        "    sys.exit(1)\n"
+        "print(*sorted(\n"
+        "    c.__name__ for n, m in list(sys.modules.items()) if n.startswith('boolelab.')\n"
+        "    for c in vars(m).values()\n"
+        "    if inspect.isclass(c) and c.__module__ == n and hasattr(c, '__dataclass_fields__')))\n"
+    )
+    last = snippet_output(code, "check", "problems/barbara.prob")[-1]
+    assert last.split() == ["InterpretVerdict", "SemanticVerdict"]
