@@ -139,21 +139,6 @@ def _digit_limit() -> int:
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 
 
-def _parse_term(text: str):
-    """The term of a command argument.  A literal longer than the digit
-    limit is a cap, not a format error: the interpreter would refuse to
-    read it."""
-    from .terms import parse
-
-    limit = _digit_limit()
-    if limit:
-        import re
-
-        if re.search(rf"(?<!\w)\d{{{limit + 1}}}", text):
-            raise CapExceeded(f"an integer literal exceeds the limit of {limit} digits")
-    return parse(text)
-
-
 def _check_printable(values) -> None:
     """Raise CapExceeded for an integer of the result longer than the
     digit limit, which the interpreter would refuse to print."""
@@ -172,7 +157,9 @@ def _normalize_capped(term, max_vars: int):
 
 
 def _cmd_normalize(args, caps):
-    p = _normalize_capped(_parse_term(args.term), caps["max_vars"])
+    from .terms import parse
+
+    p = _normalize_capped(parse(args.term), caps["max_vars"])
     _check_printable(p.coeffs.values())
     lines = [f"term: {args.term}", f"normal form: {p}"]
     data = {
@@ -188,9 +175,9 @@ def _capped_normal_form(text: str, max_vars: int):
     """Normal form of a term whose vertex table is about to be listed:
     the variable cap is checked first."""
     from .polynomial import check_var_cap
-    from .terms import variables
+    from .terms import parse, variables
 
-    term = _parse_term(text)
+    term = parse(text)
     check_var_cap(variables(term), max_vars)
     return _normalize_capped(term, max_vars)
 

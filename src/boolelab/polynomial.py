@@ -176,6 +176,17 @@ class MultilinearPoly:
         return f"MultilinearPoly({self})"
 
 
+def _fold(left: dict, right: dict, sign: int) -> None:
+    """Add sign * right into left in place, dropping the monomials that
+    cancel; neither dict holds a zero coefficient."""
+    for mono, c in right.items():
+        c = left.get(mono, 0) + sign * c
+        if c:
+            left[mono] = c
+        else:
+            del left[mono]
+
+
 # Marks the point in normalize's walk where both operands of the node
 # below it on the stack are done.
 _COMBINE = object()
@@ -196,7 +207,16 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
     of k sums can have 2^k monomials, so with ``max_pairs`` a product
     step that would multiply more monomial pairs than that raises
     CapExceeded before it starts.
+
+    The result is kept on the term node, so later calls on the same node
+    return the same (immutable) object without a walk.  A call with
+    ``max_pairs`` walks anyway, so its cap is always checked.
     """
+    if max_pairs is None:
+        try:
+            return term._form
+        except AttributeError:
+            pass
     names: set[str] = set()
     values: list[dict[frozenset, int]] = []
     todo: list = [term]
@@ -219,13 +239,7 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
                         product[mono] = product.get(mono, 0) + c1 * c2
                 values[-1] = {m: c for m, c in product.items() if c}
             else:
-                sign = 1 if isinstance(op, Add) else -1
-                for mono, c in right.items():
-                    c = left.get(mono, 0) + sign * c
-                    if c:
-                        left[mono] = c
-                    else:
-                        del left[mono]
+                _fold(left, right, 1 if isinstance(op, Add) else -1)
         elif isinstance(node, Var):
             names.add(node.name)
             values.append({frozenset((node.name,)): 1})
@@ -235,7 +249,9 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
             todo += (node, _COMBINE, node.right, node.left)
         else:
             raise TypeError(f"not a term: {node!r}")
-    return MultilinearPoly(names, values[0])
+    form = MultilinearPoly(names, values[0])
+    object.__setattr__(term, "_form", form)  # nodes refuse plain assignment
+    return form
 
 
 class ConstituentExpansion(Value):
@@ -414,8 +430,14 @@ class OracleVerdict(Value):
 
 
 def equation_difference(eq: tuple[Term, Term]) -> MultilinearPoly:
+    """The normal form of ``lhs - rhs``, built from the kept normal forms
+    of the two sides; equal to ``normalize(Sub(lhs, rhs))`` down to its
+    vars and the order of its coefficients."""
     lhs, rhs = eq
-    return normalize(Sub(lhs, rhs))
+    left, right = normalize(lhs), normalize(rhs)
+    coeffs = dict(left._coeffs)
+    _fold(coeffs, right._coeffs, -1)
+    return MultilinearPoly((*left.vars, *right.vars), coeffs)
 
 
 def check_var_cap(names, max_vars: int) -> None:

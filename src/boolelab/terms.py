@@ -19,6 +19,7 @@ notation; the signature itself has only the two constants.
 from __future__ import annotations
 
 import re
+import sys
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -33,9 +34,14 @@ class Term:
     another of the same kind with equal fields, hashes as its field
     tuple, prints as ``Kind(field=value, ...)``, and refuses assignment
     and deletion.
+
+    The one slot here, ``_form``, is not a field: ``polynomial.normalize``
+    keeps a node's normal form in it, so a term is normalized once while
+    it lives.  Equality, hashing, printing and pickling ignore it, and a
+    copied or unpickled node starts without one.
     """
 
-    __slots__ = ()
+    __slots__ = ("_form",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -175,7 +181,8 @@ _ADDITIVE = {"+": Add, "-": Sub}
 
 
 def parse(text: str) -> Term:
-    """Parse ``text`` under the grammar above, or raise ParseError.
+    """Parse ``text`` under the grammar above, or raise ParseError.  A
+    literal longer than the interpreter's digit limit raises CapExceeded.
 
     Precedence climbing with an explicit stack, so nesting depth is
     unlimited.  Each open parenthesis saves the enclosing sum so far,
@@ -198,7 +205,19 @@ def parse(text: str) -> Term:
         if kind == "ident":
             atom: Term = Var(word)
         elif kind == "int":
-            atom = IntLit(int(word))
+            try:
+                value = int(word)
+            except ValueError:
+                # a digit string fails only on the interpreter's digit limit;
+                # errors is imported here, so that loading terms loads no
+                # other module
+                from .errors import CapExceeded
+
+                raise CapExceeded(
+                    "an integer literal exceeds the limit of"
+                    f" {sys.get_int_max_str_digits()} digits"
+                ) from None
+            atom = IntLit(value)
         elif kind == "-":
             raise ParseError("unary minus is not in the grammar; write 0 - t", pos)
         else:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
 from boolelab.derivation import MAX_TRACE_DEPTH, format_trace
+from boolelab.errors import CapExceeded
 from boolelab.terms import parse
 from helpers import modules_after, strip_timing
 
@@ -145,6 +146,38 @@ def test_schema_checks_the_check_verdicts(capsys, where, bad):
     # only a produced certificate carries n and cofactors
     doc["data"]["verdicts"] = {"certificate": {"produced": False}}
     jsonschema.validate(doc, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"records": [{"monomial": ["x"], "coeff": "2"}]},
+        {"records": [{"monomial": "x", "coeff": 2}]},
+        {"records": [{"coeff": 2}]},
+        {"vars": ["x", 1]},
+        {"normal_form": None},
+        {"term": None},
+    ],
+)
+def test_schema_checks_the_normalize_data(capsys, bad):
+    _, doc = invoke_json(capsys, ["normalize", "2x + y"])
+    assert doc["data"]["records"] == [
+        {"monomial": ["x"], "coeff": 2},
+        {"monomial": ["y"], "coeff": 1},
+    ]
+    doc["data"].update(bad)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
+
+
+@pytest.mark.parametrize("data", [{}, {"error": 3}])
+def test_schema_checks_the_error_data(capsys, data):
+    assert run(["--json", "normalize", "x +"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, SCHEMA)
+    doc["data"] = data
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
 
 
 def test_check_trace_disagreement(capsys, tmp_path):
@@ -479,6 +512,31 @@ def test_integers_over_the_digit_limit_exit_three(capsys, tmp_path, argv, messag
 
 
 @pytest.mark.skipif(not DIGITS, reason="the interpreter has no digit limit")
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("big.prob", "premiss: x = {big}\nconclude: x = 0\n", ["check", "FILE"]),
+        ("big.thy", "x = 0 -> x = {big}\n", ["model-search", "FILE", "--size", "2"]),
+        ("big.trace", "1: x = {big} [Refl]\n", ["check", BARBARA, "--trace", "FILE"]),
+    ],
+    ids=["problem", "theory", "trace"],
+)
+def test_integers_over_the_digit_limit_in_files_exit_three(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text.format(big="9" * (DIGITS + 100)))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    message = f"an integer literal exceeds the limit of {DIGITS} digits"
+    for prefix in ([], ["--json"]):
+        assert run(prefix + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"cap exceeded: {message}\n"
+    doc = json.loads(captured.out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["command"] == argv[0]
+    assert doc["data"] == {"error": message}
+
+
+@pytest.mark.skipif(not DIGITS, reason="the interpreter has no digit limit")
 def test_integers_at_the_digit_limit_print(capsys):
     nines = "9" * DIGITS
     code, out = invoke(capsys, ["normalize", f"0 - {nines}"])
@@ -486,8 +544,8 @@ def test_integers_at_the_digit_limit_print(capsys):
     square = str((10**_HALF - 1) ** 2)
     code, doc = invoke_json(capsys, ["expand", f"{'9' * _HALF} * {'9' * _HALF} x"])
     assert code == 0 and [row["coeff"] for row in doc["data"]["coefficients"]] == [0, int(square)]
-    # the library itself still leaves the conversion to the interpreter
-    with pytest.raises(ValueError):
+    # the parser itself reports an over-limit literal as a cap
+    with pytest.raises(CapExceeded, match=f"exceeds the limit of {DIGITS} digits"):
         parse("9" * (DIGITS + 1))
 
 

@@ -1,6 +1,8 @@
 """Multilinear normal forms, constituent expansion, and the 0/1 oracle."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from boolelab.polynomial import (
     ConstituentExpansion,
     MultilinearPoly,
     boole_oracle,
+    equation_difference,
     expand,
     interpretability,
     normalize,
@@ -86,7 +89,8 @@ def test_normalize_matches_recursive_reference():
     same vars, the same coefficient insertion order and the same printed
     form.  Literals up to 3 occur, and each term is also taken minus
     another, with that other added back (its monomials cancel and
-    return) and times a zero difference."""
+    return) and times a zero difference.  A second call on the node
+    returns the form the first one kept."""
     rng = random.Random(1854)
     names = ("w", "x", "y", "z")
     for _ in range(1500):
@@ -94,6 +98,7 @@ def test_normalize_matches_recursive_reference():
         u = random_term(rng, names, rng.randint(1, 4))
         for term in (t, Sub(t, u), Add(Sub(t, u), u), Mul(u, Sub(t, t))):
             got, want = normalize(term), reference_normalize(term)
+            assert normalize(term) is got, term
             assert got.vars == want.vars, term
             assert list(got.coeffs.items()) == list(want.coeffs.items()), term
             assert str(got) == str(want), term
@@ -124,6 +129,43 @@ def test_normalize_monomial_cap():
     with pytest.raises(CapExceeded, match="16 monomial pairs in one product exceeds the limit of 15"):
         normalize(term, max_pairs=15)
     assert normalize(term) == normalize(term, max_pairs=16)
+    # the form the uncapped call kept does not get past a later cap
+    assert normalize(term) is normalize(term)
+    with pytest.raises(CapExceeded, match="4 monomial pairs in one product exceeds the limit of 1"):
+        normalize(term, max_pairs=1)
+
+
+def test_equation_difference_matches_normalized_difference():
+    """Built from the two kept side forms, the difference equals the
+    walk over Sub(l, r) in vars, coefficient order and printed form,
+    whether or not the sides were normalized before, and also when
+    every monomial cancels."""
+    rng = random.Random(19)
+    names = ("w", "x", "y", "z")
+    for i in range(1500):
+        t = random_term(rng, names, rng.randint(1, 6))
+        u = random_term(rng, names, rng.randint(1, 4))
+        if i % 2:
+            normalize(t)
+        for l, r in ((t, u), (u, t), (t, t), (t, Add(IntLit(0), t)), (Sub(t, u), Mul(t, t))):
+            got, want = equation_difference((l, r)), normalize(Sub(l, r))
+            assert got.vars == want.vars, (l, r)
+            assert list(got.coeffs.items()) == list(want.coeffs.items()), (l, r)
+            assert str(got) == str(want), (l, r)
+    assert str(equation_difference((parse("x*y - x"), parse("x*y*y - x")))) == "0"
+    assert equation_difference((parse("x*y - x"), parse("x*y*y - x"))).vars == ("x", "y")
+
+
+def test_kept_form_is_not_part_of_the_value():
+    term = parse("x*(y - 1) + 2")
+    form = normalize(term)
+    for other in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert other == term and hash(other) == hash(term) and repr(other) == repr(term)
+        assert not hasattr(other, "_form")
+        assert normalize(other) == form
+    with pytest.raises(AttributeError):
+        term._form = MultilinearPoly()
+    assert normalize(term) is form
 
 
 def test_constructor_keeps_variables_of_zero_monomials():
