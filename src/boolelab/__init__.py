@@ -80,66 +80,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Add",
-    "CapExceeded",
-    "Certificate",
-    "ClassAlgebra",
-    "ConstituentExpansion",
-    "Delta",
-    "DerivationTrace",
-    "EmbedSearchResult",
-    "FALSUM",
-    "FinitePartialAlgebra",
-    "HAILPERIN",
-    "HornSentence",
-    "IntLit",
-    "IntVector",
-    "Mul",
-    "MultilinearPoly",
-    "ParseError",
-    "SIGMA1",
-    "Sub",
-    "Term",
-    "TraceStep",
-    "UNDEFINED",
-    "Var",
-    "boole_oracle",
-    "build_pu",
-    "certify_consequence",
-    "check_embedding",
-    "check_trace",
-    "chi",
-    "embeds_into_mod_bounded",
-    "enumerate_total_models",
-    "eval_term",
-    "expand",
-    "format_algebra",
-    "format_theory",
-    "format_trace",
-    "hailperin_laws",
-    "holds",
-    "holds_total",
-    "horn_sentence",
-    "idempotence_guard",
-    "identity",
-    "interpretability",
-    "is_weak_subalgebra",
-    "normalize",
-    "parse",
-    "parse_algebra",
-    "parse_theory",
-    "parse_trace",
-    "presentation",
-    "pretty",
-    "relativize",
-    "search_embedding",
-    "search_total_model",
-    "semantic_consequence",
-    "unexpand",
-    "verify_certificate",
-    "verify_chi_embedding",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

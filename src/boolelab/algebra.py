@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, Value
 from .horn import FALSUM, HornSentence
-from .terms import Add, IntLit, Mul, Sub, Term, Var, variables
+from .terms import Add, IntLit, Mul, Sub, Term, Var, parse_int, variables
 
 
 class _Undefined:
@@ -461,10 +461,10 @@ def parse_algebra(text: str) -> FinitePartialAlgebra:
         if line.startswith("op "):
             head = line[3:].rstrip(":")
             name, _, arity = head.partition("/")
-            if not name or not arity.isdigit():
+            if not name or not arity.isdecimal():
                 raise ValueError(f"line {lineno}: malformed operation header")
             current = name
-            signature.append((name, int(arity)))
+            signature.append((name, parse_int(arity)))
             tables[name] = {}
             continue
         if "->" in line:

@@ -18,8 +18,9 @@ from nothing.  Trace files carry one step per line:
 
     k: lhs = rhs [Rule args]
 
-with rule arguments as step numbers, integers, or terms (Congruence
-contexts mark the hole with the reserved identifier HOLE).
+with rule arguments as step numbers and integers, written as digit
+strings, or as terms (Congruence contexts mark the hole with the
+reserved identifier HOLE).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .terms import (
     count_var,
     depth,
     parse,
+    parse_int,
     pretty,
     replaced_once,
     substitute,
@@ -314,11 +316,12 @@ def _check_step(trace, k: int, mode: str) -> str | None:
     step = trace.steps[k - 1]
     rule = step.rule
     eq = (step.lhs, step.rhs)
-
-    def earlier(i: int) -> TraceStep | None:
-        if not 1 <= i < k:
-            return None
-        return trace.steps[i - 1]
+    if hasattr(rule, "step"):
+        # Sym, Congruence, NoNilpotent and IntegerSimplification
+        # each rest on one earlier step
+        if not 1 <= rule.step < k:
+            return f"step {rule.step} is not an earlier step"
+        prev = trace.steps[rule.step - 1]
 
     if isinstance(rule, Premiss):
         if eq in tuple(trace.premisses):
@@ -346,17 +349,13 @@ def _check_step(trace, k: int, mode: str) -> str | None:
             return None
         return "sides are not identical"
     if isinstance(rule, Sym):
-        prev = earlier(rule.step)
-        if prev is None:
-            return f"step {rule.step} is not an earlier step"
         if eq == (prev.rhs, prev.lhs):
             return None
         return f"equation is not step {rule.step} reversed"
     if isinstance(rule, Trans):
-        first = earlier(rule.first)
-        second = earlier(rule.second)
-        if first is None or second is None:
+        if not (1 <= rule.first < k and 1 <= rule.second < k):
             return "both referenced steps must be earlier"
+        first, second = trace.steps[rule.first - 1], trace.steps[rule.second - 1]
         if first.rhs != second.lhs:
             return (
                 f"steps {rule.first} and {rule.second} do not chain: middle terms differ"
@@ -365,9 +364,6 @@ def _check_step(trace, k: int, mode: str) -> str | None:
             return None
         return "equation is not the chained composite"
     if isinstance(rule, Congruence):
-        prev = earlier(rule.step)
-        if prev is None:
-            return f"step {rule.step} is not an earlier step"
         if count_var(rule.context, HOLE) != 1:
             return "context must contain the hole exactly once"
         built = (
@@ -378,9 +374,6 @@ def _check_step(trace, k: int, mode: str) -> str | None:
             return None
         return "equation is not the context applied to both sides of the step"
     if isinstance(rule, NoNilpotent):
-        prev = earlier(rule.step)
-        if prev is None:
-            return f"step {rule.step} is not an earlier step"
         if rule.n < 1:
             return "the multiplier must be a positive integer"
         expected_lhs = Mul(IntLit(rule.n), step.lhs)
@@ -390,9 +383,6 @@ def _check_step(trace, k: int, mode: str) -> str | None:
             f"step {rule.step} is not {rule.n}*t = 0 for this step's t = 0"
         )
     if isinstance(rule, IntegerSimplification):
-        prev = earlier(rule.step)
-        if prev is None:
-            return f"step {rule.step} is not an earlier step"
         if equation_difference(eq) == equation_difference((prev.lhs, prev.rhs)):
             return None
         return (
@@ -416,26 +406,25 @@ def check_trace(trace: DerivationTrace, mode: str) -> TraceVerdict:
 # ----------------------------------------------------------- trace text format
 
 
+# Each rule class is the one description of its tag: the class name,
+# then its fields in order, an int as a digit string and a Term as
+# ``pretty`` prints it.  Only a rule's last field may be a Term, which
+# then takes the rest of the tag.
+_RULES = {
+    cls.__name__: cls
+    for cls in (
+        Premiss, RingAxiomInstance, DeltaIdempotence, Refl, Sym, Trans,
+        Congruence, NoNilpotent, IntegerSimplification,
+    )
+}
+
+
 def _format_rule(rule) -> str:
-    if isinstance(rule, Premiss):
-        return "Premiss"
-    if isinstance(rule, RingAxiomInstance):
-        return "RingAxiomInstance"
-    if isinstance(rule, DeltaIdempotence):
-        return f"DeltaIdempotence {pretty(rule.target)}"
-    if isinstance(rule, Refl):
-        return "Refl"
-    if isinstance(rule, Sym):
-        return f"Sym {rule.step}"
-    if isinstance(rule, Trans):
-        return f"Trans {rule.first} {rule.second}"
-    if isinstance(rule, Congruence):
-        return f"Congruence {rule.step} {pretty(rule.context)}"
-    if isinstance(rule, NoNilpotent):
-        return f"NoNilpotent {rule.step} {rule.n}"
-    if isinstance(rule, IntegerSimplification):
-        return f"IntegerSimplification {rule.step}"
-    raise TypeError(f"unknown rule {rule!r}")
+    name = type(rule).__name__
+    if _RULES.get(name) is not type(rule):
+        raise TypeError(f"unknown rule {rule!r}")
+    args = (pretty(v) if isinstance(v, Term) else str(v) for v in rule._values())
+    return " ".join((name, *args))
 
 
 def format_trace(trace: DerivationTrace) -> str:
@@ -448,72 +437,62 @@ def format_trace(trace: DerivationTrace) -> str:
 
 
 def _parse_rule(text: str):
-    parts = text.split(None, 1)
-    if not parts:
+    if not text:
         raise ValueError("empty rule tag")
-    name = parts[0]
-    rest = parts[1] if len(parts) > 1 else ""
-    if name == "Premiss":
-        return Premiss() if not rest else None
-    if name == "RingAxiomInstance":
-        return RingAxiomInstance() if not rest else None
-    if name == "Refl":
-        return Refl() if not rest else None
-    if name == "DeltaIdempotence":
-        return DeltaIdempotence(parse(rest))
-    if name == "Sym":
-        return Sym(int(rest))
-    if name == "Trans":
-        a, b = rest.split()
-        return Trans(int(a), int(b))
-    if name == "Congruence":
-        head, _, context = rest.partition(" ")
-        return Congruence(int(head), parse(context))
-    if name == "NoNilpotent":
-        a, b = rest.split()
-        return NoNilpotent(int(a), int(b))
-    if name == "IntegerSimplification":
-        return IntegerSimplification(int(rest))
-    raise ValueError(f"unknown rule name {name!r}")
+    name = text.split(None, 1)[0]
+    cls = _RULES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown rule name {name!r}")
+    # annotations are strings here: "int" or "Term"
+    kinds = [cls.__annotations__[field] for field in cls._fields]
+    words = text.split(None, len(kinds) if "Term" in kinds else -1)[1:]
+    if len(words) != len(kinds):
+        s = "" if len(kinds) == 1 else "s"
+        raise ValueError(f"rule {name} takes {len(kinds)} argument{s}")
+    return cls(*(parse(w) if kind == "Term" else parse_int(w) for kind, w in zip(kinds, words)))
 
 
-def _check_depth(where: str, terms) -> None:
+def _check_depth(terms) -> None:
     for t in terms:
         d = depth(t)
         if d > MAX_TRACE_DEPTH:
-            raise CapExceeded(
-                f"{where}: term depth {d} exceeds the limit of {MAX_TRACE_DEPTH}"
-            )
+            raise CapExceeded(f"term depth {d} exceeds the limit of {MAX_TRACE_DEPTH}")
 
 
 def parse_trace(text: str, premisses=()) -> DerivationTrace:
     """Parse the numbered-step trace format; steps must be numbered
-    consecutively from 1.  A term deeper than MAX_TRACE_DEPTH, in a
-    step or among the premisses, raises CapExceeded."""
-    for i, equation in enumerate(premisses, 1):
-        _check_depth(f"premiss {i}", equation)
+    consecutively from 1.  An error names its line, or the premiss it
+    is about.  A term deeper than MAX_TRACE_DEPTH, in a step or among
+    the premisses, raises CapExceeded."""
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        if not head.strip().isdigit():
-            raise ValueError(f"line {lineno}: missing step number")
-        k = int(head)
-        if k != len(steps) + 1:
-            raise ValueError(f"line {lineno}: expected step {len(steps) + 1}, got {k}")
-        body, bracket, tail = rest.rpartition("[")
-        if not bracket or not tail.rstrip().endswith("]"):
-            raise ValueError(f"line {lineno}: missing [Rule] tag")
-        rule = _parse_rule(tail.rstrip().removesuffix("]").strip())
-        if rule is None:
-            raise ValueError(f"line {lineno}: malformed rule tag")
-        if body.count("=") != 1:
-            raise ValueError(f"line {lineno}: step needs exactly one '='")
-        lhs_text, _, rhs_text = body.partition("=")
-        lhs, rhs = parse(lhs_text), parse(rhs_text)
-        arguments = [v for v in vars(rule).values() if isinstance(v, Term)]
-        _check_depth(f"line {lineno}", (lhs, rhs, *arguments))
-        steps.append(TraceStep(lhs, rhs, rule))
+    try:
+        for i, equation in enumerate(premisses, 1):
+            where = f"premiss {i}"
+            _check_depth(equation)
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"line {lineno}"
+            head, _, rest = line.partition(":")
+            if not head.strip().isdecimal():
+                raise ValueError("missing step number")
+            k = parse_int(head.strip())
+            if k != len(steps) + 1:
+                raise ValueError(f"expected step {len(steps) + 1}, got {k}")
+            body, bracket, tail = rest.rpartition("[")
+            if not bracket or not tail.rstrip().endswith("]"):
+                raise ValueError("missing [Rule] tag")
+            rule = _parse_rule(tail.rstrip().removesuffix("]").strip())
+            if body.count("=") != 1:
+                raise ValueError("step needs exactly one '='")
+            lhs_text, _, rhs_text = body.partition("=")
+            lhs, rhs = parse(lhs_text), parse(rhs_text)
+            arguments = [v for v in rule._values() if isinstance(v, Term)]
+            _check_depth((lhs, rhs, *arguments))
+            steps.append(TraceStep(lhs, rhs, rule))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    except CapExceeded as exc:
+        raise CapExceeded(f"{where}: {exc}") from exc
     return DerivationTrace(tuple(premisses), tuple(steps))

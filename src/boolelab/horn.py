@@ -14,7 +14,7 @@ where each equation is ``term = term`` in the term grammar.
 
 from __future__ import annotations
 
-from .errors import Value
+from .errors import CapExceeded, Value
 from .terms import Mul, Term, Var, parse, pretty, substitute, variables
 
 
@@ -55,7 +55,8 @@ class HornSentence(Value):
 
     ``consequent`` is an equation or FALSUM; a falsum consequent needs
     at least one antecedent.  ``vars`` must cover every variable in the
-    sentence and fixes the order used for witness assignments.
+    sentence and fixes the order used for witness assignments; None
+    stands for the sorted variables of the sentence.
     """
 
     vars: tuple[str, ...]
@@ -71,7 +72,9 @@ class HornSentence(Value):
                 raise ValueError("a falsum consequent needs at least one antecedent")
         else:
             used |= equation_variables(self.consequent)
-        if not used <= set(self.vars):
+        if self.vars is None:
+            object.__setattr__(self, "vars", tuple(sorted(used)))
+        elif not used <= set(self.vars):
             missing = sorted(used - set(self.vars))
             raise ValueError(f"variables {missing} are not quantified")
 
@@ -94,15 +97,7 @@ class HornSentence(Value):
 def horn_sentence(antecedents, consequent, vars=None) -> HornSentence:
     """Build a sentence, inferring sorted quantified variables if none
     are given."""
-    antecedents = tuple(antecedents)
-    if vars is None:
-        used: set[str] = set()
-        for eq in antecedents:
-            used |= equation_variables(eq)
-        if consequent is not FALSUM:
-            used |= equation_variables(consequent)
-        vars = tuple(sorted(used))
-    return HornSentence(tuple(vars), antecedents, consequent)
+    return HornSentence(None if vars is None else tuple(vars), tuple(antecedents), consequent)
 
 
 def identity(lhs: Term, rhs: Term, vars=None) -> HornSentence:
@@ -169,6 +164,8 @@ def parse_theory(text: str) -> tuple[HornSentence, ...]:
             sentences.append(horn_sentence(antecedents, consequent))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        except CapExceeded as exc:
+            raise CapExceeded(f"line {lineno}: {exc}") from exc
     return tuple(sentences)
 
 

@@ -17,8 +17,9 @@ variables are always listed in sorted order.
 from __future__ import annotations
 
 from .derivation import HAILPERIN, MODES
-from .errors import Value
+from .errors import CapExceeded, Value
 from .horn import Equation, parse_equation
+from .terms import parse_int
 
 
 class Problem(Value):
@@ -56,13 +57,15 @@ def parse_problem(text: str) -> Problem:
                     raise ValueError(f"mode must be one of {MODES}")
                 mode = value
             elif key == "max_n":
-                max_n = int(value)
+                max_n = parse_int(value)
                 if max_n < 1:
                     raise ValueError("max_n must be at least 1")
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        except CapExceeded as exc:
+            raise CapExceeded(f"line {lineno}: {exc}") from exc
     if conclusion is None:
         raise ValueError("missing conclude line")
     return Problem(tuple(premisses), conclusion, mode, max_n)

@@ -150,30 +150,41 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*()]")
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|[-+*()]|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, ending with an "end" token; an
+    operator or parenthesis is its own kind."""
     tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        tok = m.group()
-        if tok[0].isalpha():
-            kind = "ident"
-        elif tok[0].isdigit():
-            kind = "int"
-        else:
-            kind = tok
-        tokens.append((kind, tok, i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup or m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def parse_int(text: str) -> int:
+    """The value of a digit string: the one integer syntax of the term
+    grammar and of every integer field of the file formats.  Anything
+    else, a sign or an underscore included, raises ValueError; a string
+    longer than the interpreter's digit limit raises CapExceeded."""
+    if not text.isdecimal():
+        raise ValueError(f"expected an unsigned integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        # a digit string fails only on the interpreter's digit limit;
+        # errors is imported here, so that loading terms loads no other
+        # module
+        from .errors import CapExceeded
+
+        raise CapExceeded(
+            "an integer literal exceeds the limit of"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 _JUXTAPOSED = ("ident", "int", "(")
@@ -205,19 +216,7 @@ def parse(text: str) -> Term:
         if kind == "ident":
             atom: Term = Var(word)
         elif kind == "int":
-            try:
-                value = int(word)
-            except ValueError:
-                # a digit string fails only on the interpreter's digit limit;
-                # errors is imported here, so that loading terms loads no
-                # other module
-                from .errors import CapExceeded
-
-                raise CapExceeded(
-                    "an integer literal exceeds the limit of"
-                    f" {sys.get_int_max_str_digits()} digits"
-                ) from None
-            atom = IntLit(value)
+            atom = IntLit(parse_int(word))
         elif kind == "-":
             raise ParseError("unary minus is not in the grammar; write 0 - t", pos)
         else:

@@ -8,15 +8,15 @@ differential tests hold fixed, the reference semantic check, which
 takes its class algebras from ``classes.build_pu``, the reference
 oracle and vertex reconstruction, which compute with
 ``MultilinearPoly`` and take their local coefficients from
-``derivation._bezout``, the reference normalizer, which computes with
-``MultilinearPoly``'s operators, and the reference parser, which reads
-the tokens of ``terms._tokenize``; their loops are independent.
+``derivation._bezout``, and the reference normalizer, which computes
+with ``MultilinearPoly``'s operators; their loops are independent.
 """
 
 import dataclasses
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,7 +42,6 @@ from boolelab.terms import (
     Sub,
     Term,
     Var,
-    _tokenize,
     variables,
 )
 
@@ -539,15 +538,42 @@ def reference_certify_consequence(premisses, conclusion, max_vars: int = 20):
 
 # ------------------------------------------------ reference parser
 #
-# The recursive-descent parser and printer that the explicit-stack
-# ``terms.parse`` and ``terms.pretty`` replaced.  On every text both
-# parsers must build equal trees or raise the same ParseError message at
-# the same position, and both printers must print the same string.
+# The character loop, recursive-descent parser and printer that the
+# one-scan ``terms._tokenize``, the explicit-stack ``terms.parse`` and
+# ``terms.pretty`` replaced.  On every text both tokenizers must give
+# the same tokens and both parsers equal trees, or both raise the same
+# ParseError message at the same position, and both printers must print
+# the same string.
+
+_REF_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*()]")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        m = _REF_TOKEN_RE.match(text, i)
+        if not m:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        tok = m.group()
+        if tok[0].isalpha():
+            kind = "ident"
+        elif tok[0].isdigit():
+            kind = "int"
+        else:
+            kind = tok
+        tokens.append((kind, tok, i))
+        i = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _RefParser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = reference_tokenize(text)
         self.i = 0
 
     def peek(self):

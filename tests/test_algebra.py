@@ -339,6 +339,12 @@ def test_constant_blocks_round_trip():
     assert parse_algebra(text) == one
 
 
+def test_operation_arity_is_a_digit_string():
+    for arity in ("+2", "2_0", "\u00b2", "", "x"):
+        with pytest.raises(ValueError, match="line 2: malformed operation header"):
+            parse_algebra(f"carrier: a\nop f/{arity}:\n")
+
+
 def test_validation_rejects_bad_tables():
     with pytest.raises(ValueError):
         FinitePartialAlgebra((), (("+", 2),), {})

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
-from boolelab.derivation import MAX_TRACE_DEPTH, format_trace
+from boolelab.derivation import _RULES, MAX_TRACE_DEPTH, format_trace
 from boolelab.errors import CapExceeded
 from boolelab.terms import parse
 from helpers import modules_after, strip_timing
@@ -518,14 +518,17 @@ def test_integers_over_the_digit_limit_exit_three(capsys, tmp_path, argv, messag
         ("big.prob", "premiss: x = {big}\nconclude: x = 0\n", ["check", "FILE"]),
         ("big.thy", "x = 0 -> x = {big}\n", ["model-search", "FILE", "--size", "2"]),
         ("big.trace", "1: x = {big} [Refl]\n", ["check", BARBARA, "--trace", "FILE"]),
+        ("max_n.prob", "max_n: {big}\nconclude: x = 0\n", ["check", "FILE"]),
+        ("step.trace", "{big}: x = x [Refl]\n", ["check", BARBARA, "--trace", "FILE"]),
+        ("argument.trace", "1: x = x [Sym {big}]\n", ["check", BARBARA, "--trace", "FILE"]),
     ],
-    ids=["problem", "theory", "trace"],
+    ids=["problem", "theory", "trace", "max_n", "step-number", "rule-argument"],
 )
 def test_integers_over_the_digit_limit_in_files_exit_three(capsys, tmp_path, name, text, argv):
     path = tmp_path / name
     path.write_text(text.format(big="9" * (DIGITS + 100)))
     argv = [str(path) if a == "FILE" else a for a in argv]
-    message = f"an integer literal exceeds the limit of {DIGITS} digits"
+    message = f"line 1: an integer literal exceeds the limit of {DIGITS} digits"
     for prefix in ([], ["--json"]):
         assert run(prefix + argv) == 3
         captured = capsys.readouterr()
@@ -666,6 +669,40 @@ def test_trace_over_the_depth_bound_exits_three(capsys, tmp_path, where):
     assert captured.err == (
         f"cap exceeded: {message}: term depth {over} exceeds the limit of {MAX_TRACE_DEPTH}\n"
     )
+
+
+def _bad_rule_tags():
+    """For every rule: a tag with one argument too few, or one too many
+    where the last argument is not a term; and each argument replaced
+    by a non-integer, a signed or a superscript number, or a bad term."""
+    good = {"int": "1", "Term": "x"}
+    bad = {"int": ("abc", "+1", "-1", "1_0", "1.5", "\u00b2"), "Term": ("x +", "(x")}
+    for name, cls in _RULES.items():
+        kinds = [cls.__annotations__[field] for field in cls._fields]
+        args = [good[kind] for kind in kinds]
+        yield " ".join([name, *args[:-1]]) if args else f"{name} 1"
+        if "Term" not in kinds:
+            yield " ".join([name, *args, "1"])
+        for i, kind in enumerate(kinds):
+            for word in bad[kind]:
+                yield " ".join([name, *args[:i], word, *args[i + 1 :]])
+
+
+@pytest.mark.parametrize(
+    "step",
+    [f"x = x [{tag}]" for tag in _bad_rule_tags()] + ["x + = x [Refl]", "x = (x [Sym 1]"],
+)
+def test_malformed_trace_steps_name_their_line(capsys, tmp_path, step):
+    trace = tmp_path / "bad.trace"
+    trace.write_text(f"1: x = x [Refl]\n2: {step}\n")
+    argv = ["check", BARBARA, "--trace", str(trace)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "invalid literal" not in err and "unpack" not in err
+    code, doc = invoke_json(capsys, argv)
+    assert code == 2
+    assert doc["data"]["error"] == err.removeprefix("error: ").rstrip("\n")
 
 
 def test_very_deep_trace_step_exits_three(capsys, tmp_path):

@@ -12,6 +12,7 @@ from boolelab.counterexamples import (
     cx_trace,
 )
 from boolelab.derivation import (
+    _RULES,
     Certificate,
     Congruence,
     DeltaIdempotence,
@@ -344,6 +345,21 @@ def test_trace_format_round_trip():
     for trace in (cx_trace(), full_rule_trace()):
         text = format_trace(trace)
         assert parse_trace(text, premisses=trace.premisses) == trace
+
+
+def test_every_rule_class_round_trips_through_its_tag():
+    # distinct values, so fields read back in the wrong order show
+    ints = iter(range(3, 100))
+    context = Add(Var("HOLE"), Mul(IntLit(2), y))
+    steps = []
+    for cls in _RULES.values():
+        fields = [cls.__annotations__[field] for field in cls._fields]
+        rule = cls(*(context if kind == "Term" else next(ints) for kind in fields))
+        steps.append(TraceStep(x, y, rule))
+    trace = DerivationTrace((), tuple(steps))
+    text = format_trace(trace)
+    assert [line.split("[")[1].split()[0].rstrip("]") for line in text.splitlines()] == list(_RULES)
+    assert parse_trace(text) == trace
 
 
 def test_cx_trace_text():

@@ -47,6 +47,17 @@ def test_vars_must_cover_terms():
 def test_horn_sentence_infers_sorted_vars():
     s = horn_sentence(((y, x),), (Add(x, y), x))
     assert s.vars == ("x", "y")
+    assert HornSentence(None, ((y, x),), (Add(x, y), x)) == s
+    assert horn_sentence(((y, Var("b")),), FALSUM).vars == ("b", "y")
+    assert identity(Mul(y, y), parse("1")).vars == ("y",)
+
+
+def test_given_vars_must_still_cover_terms():
+    with pytest.raises(ValueError, match=r"variables \['y'\] are not quantified"):
+        horn_sentence(((y, x),), FALSUM, vars=("x",))
+    with pytest.raises(ValueError, match="not quantified"):
+        identity(x, y, vars=("y",))
+    assert horn_sentence((), (x, x), vars=("z", "x")).vars == ("z", "x")
 
 
 def test_str_forms():

@@ -55,6 +55,13 @@ def test_errors_carry_line_numbers():
         parse_problem("just some words\n")
 
 
+def test_max_n_is_a_digit_string():
+    assert parse_problem("conclude: x = x\nmax_n: 007\n").max_n == 7
+    for value in ("+3", "3_000", "-2", "three", "3.0"):
+        with pytest.raises(ValueError, match="line 2: expected an unsigned integer"):
+            parse_problem(f"conclude: x = x\nmax_n: {value}\n")
+
+
 def test_missing_conclusion():
     with pytest.raises(ValueError, match="conclude"):
         parse_problem("premiss: x = 0\n")

@@ -11,12 +11,21 @@ from boolelab.terms import (
     ParseError,
     Sub,
     Var,
+    _tokenize,
     depth,
     parse,
+    parse_int,
     pretty,
     variables,
 )
-from helpers import exhaustive_terms, random_term, reference_parse, reference_pretty
+from boolelab.errors import CapExceeded
+from helpers import (
+    exhaustive_terms,
+    random_term,
+    reference_parse,
+    reference_pretty,
+    reference_tokenize,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -162,6 +171,34 @@ def test_parse_matches_recursive_reference():
         assert got == _parse_outcome(reference_parse, text), text
         errors += isinstance(got, tuple)
     assert 300 < errors < len(texts) - 300
+
+
+def test_tokenize_matches_character_loop():
+    """The one-scan tokenizer against the character loop it replaced:
+    the same tokens, or the same message at the same position, also
+    for the characters that only some notions of space, letter or digit
+    include."""
+    rng = random.Random(1847)
+    alphabet = "xyZ_09+-*() \t\n#.=" + "\u2003\x1c\x85\u0661\u00b2\u00e9"
+    errors = 0
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+        got = _parse_outcome(_tokenize, text)
+        assert got == _parse_outcome(reference_tokenize, text), repr(text)
+        errors += isinstance(got, tuple)
+    assert 400 < errors < 3600  # both outcomes are common
+
+
+def test_parse_int_takes_digit_strings_only():
+    assert parse_int("0") == 0
+    assert parse_int("0042") == 42
+    # the digits of the term grammar, so a literal reads the same in a term
+    assert parse(str(parse_int("\u0661\u0662"))) == parse("\u0661\u0662")
+    for text in ("", " 3", "+3", "-2", "3_000", "1.5", "\u00b2", "0x1f", "abc"):
+        with pytest.raises(ValueError, match="expected an unsigned integer"):
+            parse_int(text)
+    with pytest.raises(CapExceeded, match="an integer literal exceeds the limit"):
+        parse_int("9" * 5000)
 
 
 def test_pretty_matches_recursive_reference():
