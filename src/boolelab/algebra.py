@@ -463,8 +463,11 @@ def parse_algebra(text: str) -> FinitePartialAlgebra:
             name, _, arity = head.partition("/")
             if not name or not arity.isdecimal():
                 raise ValueError(f"line {lineno}: malformed operation header")
+            try:
+                signature.append((name, parse_int(arity)))
+            except CapExceeded as exc:
+                raise CapExceeded(f"line {lineno}: {exc}") from exc
             current = name
-            signature.append((name, parse_int(arity)))
             tables[name] = {}
             continue
         if "->" in line:

@@ -39,11 +39,19 @@ def _bits(vertex) -> str:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer of at least 1."""
+    """argparse type for counts and sizes: a digit string (the integer
+    rule of ``terms.parse_int``) of value at least 1."""
+    from .terms import parse_int
+
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r} (digits only, with no sign, blank or underscore)"
+        ) from None
+    except CapExceeded as exc:
+        # the message names the digit limit, not the value
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -219,8 +227,8 @@ def _cmd_interpret(args, caps):
 def _cmd_check(args, caps):
     from .classes import semantic_consequence
     from .derivation import certify_consequence, verify_certificate
-    from .horn import format_equation
-    from .polynomial import boole_oracle
+    from .horn import equation_variables, format_equation
+    from .polynomial import boole_oracle, check_var_cap
     from .problems import parse_problem
 
     with open(args.problem) as fh:
@@ -278,6 +286,9 @@ def _cmd_check(args, caps):
             symbolic.append(checked.verified)
     semantic = None
     if "semantic" in want:
+        # holds on P(1) tries all 2^m assignments of the m variables
+        equations = [*problem.premisses, problem.conclusion]
+        check_var_cap(set().union(*map(equation_variables, equations)), caps["max_vars"])
         semantic = semantic_consequence(
             problem.premisses,
             problem.conclusion,

@@ -33,7 +33,7 @@ from .polynomial import (
     _bit_terms,
     _differences,
     _Monomials,
-    _from_vertex_values,
+    _split,
     equation_difference,
 )
 from .terms import (
@@ -148,46 +148,132 @@ def _bezout(values) -> tuple[int, list[int]]:
     return g, coeffs
 
 
+def _join(zero: dict, one: dict, bit: int) -> dict:
+    """The {mask: coefficient} polynomial zero + x*(one - zero), for the
+    variable x of ``bit``: Boole's development, read backwards, of a
+    polynomial whose halves at x = 0 and x = 1 are the two given."""
+    joined = dict(zero)
+    for k, c in one.items():
+        joined[k | bit] = c
+    for k, c in zero.items():
+        k |= bit
+        c = joined.get(k, 0) - c
+        if c:
+            joined[k] = c
+        else:
+            del joined[k]
+    return joined
+
+
 def certify_consequence(premisses, conclusion, max_vars: int = 20) -> Certificate | None:
     """Search for a certificate; None exactly when the 0/1-vertex
     oracle rejects the consequence.
 
-    One walk over the vertex indices evaluates the conclusion
-    difference, and the premiss differences only where it is nonzero:
-    there they must span a multiple of it, and their Bezout
-    coefficients become the cofactor values.  The walk returns None at
-    the first vertex where they all vanish instead, which is the
-    oracle's witness.  The multiplier n is the least common multiple of
-    the local denominators, so it is minimal for this construction.
-    Each cofactor's values sit in a plain list indexed by vertex; the
-    Moebius transform that ``unexpand`` also runs rebuilds the cofactor
-    from them, and it is not further minimized.
+    The search runs on the oracle's split tree (``_least_witness``):
+    each node restricts the conclusion difference f and the premiss
+    differences g_j to a subcube, and it is a leaf when the cofactors
+    there follow at once:
+
+    - f is 0: each cofactor is 0, or free if its g_j is 0;
+    - the first g_j that is 1 or -1, with every earlier one a constant,
+      takes n*f/g_j, and the others are 0 (free if their g_j is 0);
+    - every g_j is a constant: their Bezout coefficients, scaled by
+      n*f/d for their gcd d (free if their g_j is 0), or None when d is
+      0, since f is not.
+
+    A free cofactor is one the identity does not constrain there.
+
+    Otherwise the node splits on its highest variable (``_split``), and
+    each cofactor is rebuilt from its two halves by the restrict
+    operator of Coudert and Madre: a free half takes the other one,
+    equal halves drop the variable, and otherwise ``_join`` applies
+    Boole's development.  A cofactor free everywhere is 0.  The leaves
+    agree at every vertex with a per-vertex construction: the first
+    premiss value of 1 or -1 takes the whole of n*f, else the Bezout
+    coefficients of the values do; a cofactor is free where its premiss
+    value is 0.
+
+    The multiplier n is the least common multiple of d / gcd(d, content
+    of f) over the constant leaves.  That equals the least common
+    multiple of the local denominators over all vertices, the minimum
+    for this construction, since a unit leaf contributes 1.  When n
+    grows, the cofactors built so far are scaled to match.  The search
+    returns None in the first subtree, in the oracle's order, that holds
+    a vertex where f is nonzero and every premiss difference is 0.
     """
-    names, f, gs = _differences(premisses, conclusion, max_vars)
-    fterms = _bit_terms(f, names)
-    gterms = [_bit_terms(g, names) for g in gs]
-    support: list[tuple[int, int, list[int]]] = []
+    names, f, diffs = _differences(premisses, conclusion, max_vars)
+    live = [j for j, g in enumerate(diffs) if g._coeffs]
+    if f.is_zero or not live:  # settled at the root
+        return None if f._coeffs else Certificate(1, (MultilinearPoly._of(names, {}),) * len(diffs))
     n = 1
-    for i in range(1 << len(names)):
-        fval = sum(c for k, c in fterms if i & k == k)
-        if fval == 0:
+    done: list[list] = []  # the cofactors of finished subtrees, in order
+    todo: list = [_bit_terms(names, [f, *(diffs[j] for j in live)])]
+    while todo:
+        polys = todo.pop()
+        if type(polys) is int:  # join the last two subtrees at this bit
+            one = done.pop()
+            zero = done[-1]
+            for j, b in enumerate(one):
+                a = zero[j]
+                if a is None or b is not None and a != b:
+                    zero[j] = b if a is None else _join(a, b, polys)
             continue
-        gvals = [sum(c for k, c in terms if i & k == k) for terms in gterms]
-        d = math.gcd(*gvals)
-        if d == 0:
-            return None
-        n = math.lcm(n, d // math.gcd(d, fval))
-        support.append((i, fval, gvals))
-    cofactor_values = [[0] * (1 << len(names)) for _ in gs]
-    for i, fval, gvals in support:
-        d, coeffs = _bezout(gvals)
-        scale = n * fval // d
-        for values, c in zip(cofactor_values, coeffs):
-            values[i] = c * scale
+        while True:
+            f, *gs = polys
+            if not f:
+                done.append([{} if g else None for g in gs])
+                break
+            if 0 in f:
+                for g in gs:
+                    if 0 in g:
+                        break
+                else:
+                    return None  # the least vertex below is a witness
+            values = []  # the constants before the first unit or non-constant
+            for g in gs:
+                v = g[0] if len(g) == 1 and 0 in g else None if g else 0
+                if v is None or v == 1 or v == -1:
+                    break
+                values.append(v)
+            else:
+                d, coeffs = _bezout(values)
+                if d == 0:
+                    return None
+                content = math.gcd(d, *f.values())
+                grow = d // content
+                if n % grow:
+                    scale = math.lcm(n, grow) // n
+                    n *= scale
+                    done = [
+                        [c and {k: scale * b for k, b in c.items()} for c in cofs]
+                        for cofs in done
+                    ]
+                q = n // grow  # n*c/d is q*(c/content) for each coefficient c of f
+                cofs = []
+                for v, a in zip(values, coeffs):
+                    if not v:
+                        cofs.append(None)
+                    elif a:
+                        a *= q
+                        cofs.append({k: a * (c // content) for k, c in f.items()})
+                    else:
+                        cofs.append({})
+                done.append(cofs)
+                break
+            if v is not None:  # a unit
+                cofs = [{} if g else None for g in gs]
+                cofs[len(values)] = {k: v * n * c for k, c in f.items()}
+                done.append(cofs)
+                break
+            bit, polys, ones = _split(polys)
+            todo += (bit, ones)
     monos = _Monomials(names)
-    return Certificate(
-        n, tuple(_from_vertex_values(values, monos) for values in cofactor_values)
-    )
+    found = dict(zip(live, done[0]))
+    cofactors = []
+    for j in range(len(diffs)):
+        c = found.get(j) or {}
+        cofactors.append(MultilinearPoly._of(names, {monos[k]: b for k, b in c.items()}))
+    return Certificate(n, tuple(cofactors))
 
 
 # ---------------------------------------------------------------------- traces

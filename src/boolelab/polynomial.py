@@ -48,6 +48,17 @@ class MultilinearPoly:
         object.__setattr__(self, "vars", tuple(sorted(names)))
         object.__setattr__(self, "_coeffs", cleaned)
 
+    @classmethod
+    def _of(cls, vars: tuple, coeffs: dict) -> "MultilinearPoly":
+        """The polynomial with these fields as given, without the
+        constructor's pass: ``vars`` sorted and covering every monomial,
+        ``coeffs`` keyed by frozensets with no zero coefficient, and
+        owned by the result from now on."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "_coeffs", coeffs)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearPoly is immutable")
 
@@ -302,14 +313,57 @@ def vertices(var_names) -> Iterator[tuple[int, ...]]:
     return itertools.product((0, 1), repeat=len(var_names))
 
 
-def _bit_terms(p: MultilinearPoly, names) -> list[tuple[int, int]]:
-    """(mask, coefficient) pairs of p over ``names``, where names[j] is
-    bit m-1-j of a vertex index.  Index order is then the
-    lexicographic vertex order of ``vertices``, and p's value at vertex
-    index i is the sum of the coefficients whose mask is inside i."""
+def _bit_terms(names, polys) -> list[dict[int, int]]:
+    """Each polynomial as a {mask: coefficient} dict over ``names``,
+    where names[j] is bit m-1-j of a vertex index.  Index order is then
+    the lexicographic vertex order of ``vertices``, and a polynomial's
+    value at vertex index i is the sum of the coefficients whose mask
+    is inside i."""
     m = len(names)
     bit = {name: 1 << (m - 1 - j) for j, name in enumerate(names)}
-    return [(sum(bit[name] for name in mono), c) for mono, c in p._coeffs.items()]
+    out = []
+    for p in polys:
+        terms = {}
+        for mono, c in p._coeffs.items():
+            k = 0
+            for name in mono:
+                k |= bit[name]
+            terms[k] = c
+        out.append(terms)
+    return out
+
+
+def _split(polys: list[dict]) -> tuple[int, list[dict], list[dict]]:
+    """Boole's development of {mask: coefficient} polynomials at the
+    highest variable any of them uses: its bit, then each polynomial at
+    x = 0 (the masks without the bit) and at x = 1 (the bit cleared
+    from every mask, merged, with the coefficients that cancel
+    dropped).  A polynomial that does not use the bit gets one dict
+    for both halves, so no half may be changed in place."""
+    used = 0
+    for p in polys:
+        for k in p:
+            used |= k
+    bit = 1 << used.bit_length() >> 1
+    zeros, ones = [], []
+    for p in polys:
+        zero = {}
+        high = []
+        for k, c in p.items():
+            if k & bit:
+                high.append((k ^ bit, c))
+            else:
+                zero[k] = c
+        one = zero.copy() if high else zero
+        for k, c in high:
+            c += one.get(k, 0)
+            if c:
+                one[k] = c
+            else:
+                del one[k]
+        zeros.append(zero)
+        ones.append(one)
+    return bit, zeros, ones
 
 
 def _vertex(names, i: int) -> dict[str, int]:
@@ -370,7 +424,7 @@ def _from_vertex_values(values: list, monos: _Monomials) -> MultilinearPoly:
 
 def _vertex_values(p: MultilinearPoly) -> list[int]:
     """p's value at every vertex index over p.vars, in vertex order."""
-    terms = _bit_terms(p, p.vars)
+    terms = _bit_terms(p.vars, [p])[0].items()
     return [sum(c for k, c in terms if i & k == k) for i in range(1 << len(p.vars))]
 
 
@@ -437,12 +491,13 @@ def equation_difference(eq: tuple[Term, Term]) -> MultilinearPoly:
     left, right = normalize(lhs), normalize(rhs)
     coeffs = dict(left._coeffs)
     _fold(coeffs, right._coeffs, -1)
-    return MultilinearPoly((*left.vars, *right.vars), coeffs)
+    # a normal form's vars cover its monomials, and _fold drops zeros
+    return MultilinearPoly._of(tuple(sorted({*left.vars, *right.vars})), coeffs)
 
 
 def check_var_cap(names, max_vars: int) -> None:
     """Raise CapExceeded when more than max_vars variables are named,
-    before any of the 2^m vertices is listed."""
+    before any work that can grow as 2^m starts."""
     if len(names) > max_vars:
         raise CapExceeded(f"{len(names)} variables exceeds the limit of {max_vars}")
 
@@ -458,19 +513,64 @@ def _differences(premisses, conclusion, max_vars: int):
     return names, f, gs
 
 
+def _least_witness(polys: list[dict]) -> int | None:
+    """Index of the least vertex where the conclusion difference f =
+    polys[0] does not vanish and every premiss difference in polys[1:]
+    does, or None; all are {mask: coefficient} dicts from ``_bit_terms``.
+
+    Boole's development f = f(0)*(1 - x) + f(1)*x, applied one variable
+    at a time (the split of DPLL and of Bryant's decision diagrams):
+    each node splits on the highest bit any of its differences still
+    uses, 0-branch first, with the 1-branch on an explicit stack.  A
+    variable no difference uses is not split, since its 1-branch repeats
+    its 0-branch.  A subtree is dropped when f restricts to 0 or some
+    premiss difference to a nonzero constant; a premiss that restricts
+    to 0 drops out.  The least vertex of a subtree is its witness when
+    f has a constant term there and no premiss difference has one.
+    Once no premiss is left, the least vertex where f is nonzero is its
+    least mask: below it every value of f is 0, so by Moebius inversion
+    every coefficient is 0 too, and at it the coefficient equals the
+    value.
+    """
+    todo = [(0, polys)]
+    while todo:
+        index, polys = todo.pop()
+        while polys[0]:
+            f = polys[0]
+            corner = 0 in f  # f is nonzero at the least vertex below
+            live = [f]
+            for g in polys[1:]:
+                if g:
+                    if 0 in g:
+                        if len(g) == 1:
+                            break  # a nonzero constant
+                        corner = False
+                    live.append(g)
+            else:
+                if corner:
+                    return index
+                if len(live) == 1:
+                    return index | min(f)
+                bit, polys, ones = _split(live)
+                todo.append((index | bit, ones))
+                continue
+            break
+    return None
+
+
 def boole_oracle(premisses, conclusion, max_vars: int = 20) -> OracleVerdict:
     """Decide ground consequence by the rule of 0 and 1.
 
     The conclusion follows when its difference polynomial vanishes at
-    every 0/1 vertex killing all premiss differences.  Exhaustive over
-    2^m vertices, so m is capped (default 20).
+    every 0/1 vertex killing all premiss differences.  The vertices are
+    searched by splitting one variable at a time (``_least_witness``),
+    so a chain of m inclusions whose names sort in chain order takes
+    O(m) splits, not 2^m vertices; the witness is the lexicographically
+    least failing vertex.  The number m of variables is capped (default
+    20).
     """
     names, f, gs = _differences(premisses, conclusion, max_vars)
-    fterms = _bit_terms(f, names)
-    gterms = [_bit_terms(g, names) for g in gs]
-    for i in range(1 << len(names)):
-        if sum(c for k, c in fterms if i & k == k) and not any(
-            sum(c for k, c in terms if i & k == k) for terms in gterms
-        ):
-            return OracleVerdict(False, _vertex(names, i))
-    return OracleVerdict(True)
+    index = _least_witness(_bit_terms(names, [f, *gs]))
+    if index is None:
+        return OracleVerdict(True)
+    return OracleVerdict(False, _vertex(names, index))

@@ -8,8 +8,10 @@ differential tests hold fixed, the reference semantic check, which
 takes its class algebras from ``classes.build_pu``, the reference
 oracle and vertex reconstruction, which compute with
 ``MultilinearPoly`` and take their local coefficients from
-``derivation._bezout``, and the reference normalizer, which computes
-with ``MultilinearPoly``'s operators; their loops are independent.
+``derivation._bezout``, the replaced one-walk certify, which runs on
+the package's vertex-index helpers, and the reference normalizer,
+which computes with ``MultilinearPoly``'s operators; their loops are
+independent.
 """
 
 import dataclasses
@@ -30,6 +32,10 @@ from boolelab.polynomial import (
     ConstituentExpansion,
     MultilinearPoly,
     OracleVerdict,
+    _bit_terms,
+    _differences,
+    _from_vertex_values,
+    _Monomials,
     check_var_cap,
     equation_difference,
 )
@@ -122,6 +128,40 @@ def chain_arguments(m):
     yield chain(m, conclusion_first=m - 1, conclusion_last=0)
     for k in range(m - 1):
         yield chain(m, drop=k)
+
+
+def _dense_factor(rng, v):
+    a, b = rng.sample(v, 2)
+    return rng.choice(
+        (Sub(IntLit(1), Mul(a, b)), Sub(Add(a, b), Mul(a, b)), Sub(a, Mul(a, b)), Add(a, Mul(IntLit(2), b)))
+    )
+
+
+def _dense_product(rng, v, k):
+    t = _dense_factor(rng, v)
+    for _ in range(k - 1):
+        t = Mul(t, _dense_factor(rng, v))
+    return t
+
+
+def dense_argument(rng: random.Random, valid: bool, m: int = 8):
+    """Two premisses equating products of random two-symbol factors
+    over v0..v(m-1), in the style of the benchmark's dense problems.  A
+    valid conclusion is a combination of the premiss differences with
+    random product coefficients; an invalid one is drawn until the
+    reference oracle finds a witness."""
+    v = [Var(f"v{i}") for i in range(m)]
+    while True:
+        premisses = tuple((_dense_product(rng, v, 3), _dense_product(rng, v, 2)) for _ in range(2))
+        if valid:
+            lhs = Add(
+                Mul(_dense_product(rng, v, 2), Sub(*premisses[0])),
+                Mul(_dense_product(rng, v, 2), Sub(*premisses[1])),
+            )
+            return premisses, (lhs, IntLit(0))
+        conclusion = (_dense_product(rng, v, 2), _dense_product(rng, v, 3))
+        if not reference_boole_oracle(premisses, conclusion).valid:
+            return premisses, conclusion
 
 
 def small_algebras():
@@ -446,12 +486,12 @@ def reference_normalize(t: Term) -> MultilinearPoly:
 
 # ------------------------------------ reference vertex reconstruction
 #
-# The dict-per-vertex ``boole_oracle``, the constituent-sum ``unexpand``
-# and the two-pass ``certify_consequence`` (an oracle call, then a walk
-# that evaluates every difference at every vertex) that the walk over
-# integer vertex indices, the Moebius transform and the single certify
-# walk replaced.  Their results must match exactly, down to the
-# witness's key order.
+# The dict-per-vertex ``boole_oracle`` and the constituent-sum
+# ``unexpand``, which the split tree and the Moebius transform must
+# match exactly, down to the witness's key order; the two-pass and the
+# one-walk ``certify_consequence`` that the split tree replaced, whose
+# multiplier it must keep; and the per-vertex "first unit + restrict"
+# construction whose certificates it must build exactly.
 
 
 def _ref_pooled_differences(premisses, conclusion):
@@ -534,6 +574,99 @@ def reference_certify_consequence(premisses, conclusion, max_vars: int = 20):
         for table in cofactor_values
     )
     return Certificate(n, cofactors)
+
+
+def vertex_walk_certify_consequence(premisses, conclusion, max_vars: int = 20):
+    """The one-walk certify that the split tree replaced: the
+    conclusion difference at every vertex index, the premiss
+    differences where it is nonzero, Bezout cofactor values there (all
+    the weight on the last unit) and the Moebius transform of each
+    cofactor's 2^m values.  Its multiplier n is the one the split tree
+    must keep."""
+    names, f, gs = _differences(premisses, conclusion, max_vars)
+    fterms, *gterms = [terms.items() for terms in _bit_terms(names, [f, *gs])]
+    support = []
+    n = 1
+    for i in range(1 << len(names)):
+        fval = sum(c for k, c in fterms if i & k == k)
+        if fval == 0:
+            continue
+        gvals = [sum(c for k, c in terms if i & k == k) for terms in gterms]
+        d = math.gcd(*gvals)
+        if d == 0:
+            return None
+        n = math.lcm(n, d // math.gcd(d, fval))
+        support.append((i, fval, gvals))
+    cofactor_values = [[0] * (1 << len(names)) for _ in gs]
+    for i, fval, gvals in support:
+        d, coeffs = _bezout(gvals)
+        scale = n * fval // d
+        for values, c in zip(cofactor_values, coeffs):
+            values[i] = c * scale
+    monos = _Monomials(names)
+    return Certificate(
+        n, tuple(_from_vertex_values(values, monos) for values in cofactor_values)
+    )
+
+
+def _ref_restrict(var_names, pinned):
+    """Rebuild one cofactor from its {vertex tuple: value or None}
+    table, splitting on var_names[0] first: a free half (None) takes
+    the other half, equal halves drop the variable, and otherwise
+    p = a + x*(b - a)."""
+    if not var_names:
+        value = pinned[()]
+        return None if value is None else MultilinearPoly.const(value)
+    a, b = (
+        _ref_restrict(var_names[1:], {v[1:]: c for v, c in pinned.items() if v[0] == bit})
+        for bit in (0, 1)
+    )
+    if a is None:
+        return b
+    if b is None or a == b:
+        return a
+    return a + MultilinearPoly.variable(var_names[0]) * (b - a)
+
+
+def reference_first_unit_certificate(premisses, conclusion):
+    """The certificate the split tree must build, vertex by vertex: n
+    as in ``reference_certify_consequence``; at a vertex where the
+    conclusion difference f is nonzero, the first premiss value of 1
+    or -1 takes n*f/g and the others 0, or without one the Bezout
+    coefficients scaled by n*f/d; where f is 0 every cofactor is 0.  A
+    cofactor is free wherever its premiss value is 0, and each is
+    rebuilt by ``_ref_restrict``."""
+    names, f, diffs = _ref_pooled_differences(premisses, conclusion)
+    if not reference_boole_oracle(premisses, conclusion).valid:
+        return None
+    n = 1
+    pinned = [{} for _ in diffs]
+    rows = []
+    for v in itertools.product((0, 1), repeat=len(names)):
+        a = dict(zip(names, v))
+        gvals = [g.evaluate(a) for g in diffs]
+        fval = f.evaluate(a)
+        if fval:
+            d = math.gcd(*gvals)
+            n = math.lcm(n, d // math.gcd(d, fval))
+        rows.append((v, fval, gvals))
+    for v, fval, gvals in rows:
+        units = [j for j, g in enumerate(gvals) if g in (1, -1)]
+        if units:
+            values = [0] * len(gvals)
+            values[units[0]] = n * fval * gvals[units[0]]
+        elif fval:
+            d, coeffs = _bezout(gvals)
+            values = [c * (n * fval // d) for c in coeffs]
+        else:
+            values = [0] * len(gvals)
+        for table, g, value in zip(pinned, gvals, values):
+            table[v] = value if g else None
+    cofactors = []
+    for table in pinned:
+        p = _ref_restrict(names, table)
+        cofactors.append(MultilinearPoly(names, p.coeffs if p is not None else {}))
+    return Certificate(n, tuple(cofactors))
 
 
 # ------------------------------------------------ reference parser

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from boolelab.algebra import (
 )
 from boolelab.classes import build_pu, semantic_consequence
 from boolelab.counterexamples import intro_algebra, max_algebra, xor_algebra
+from boolelab.errors import CapExceeded
 from boolelab.horn import horn_sentence, identity
 from boolelab.models import search_total_model
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
@@ -343,6 +345,13 @@ def test_operation_arity_is_a_digit_string():
     for arity in ("+2", "2_0", "\u00b2", "", "x"):
         with pytest.raises(ValueError, match="line 2: malformed operation header"):
             parse_algebra(f"carrier: a\nop f/{arity}:\n")
+
+
+def test_operation_arity_over_the_digit_limit_names_its_line():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(CapExceeded) as info:
+        parse_algebra(f"carrier: a\nop f/{'9' * (limit + 100)}:\n")
+    assert str(info.value) == f"line 2: an integer literal exceeds the limit of {limit} digits"
 
 
 def test_validation_rejects_bad_tables():

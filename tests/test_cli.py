@@ -110,8 +110,8 @@ def test_check_barbara_all_modes(capsys):
     assert code == 0
     assert "oracle: valid" in out
     assert "certificate: verified (n=1)" in out
-    assert "cofactor 1: x - x*y - x*z + x*y*z" in out
-    assert "cofactor 2: x*y - x*y*z" in out
+    assert "cofactor 1: 1 - z" in out
+    assert "cofactor 2: x" in out
     assert "semantic: valid (universe sizes 1..3)" in out
     assert "note:" not in out
 
@@ -348,6 +348,79 @@ def test_bad_cap_environment_exits_two(capsys, monkeypatch, name, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--max-vars", ["normalize", "x"]),
+        ("--max-universe", ["check", BARBARA]),
+        ("--size", ["model-search", COMMUTATIVE]),
+        ("--boole", ["embed"]),
+    ],
+)
+@pytest.mark.parametrize("value", ["+2", " 2", "2 ", "2_0", "\u00b2"])
+def test_numeric_flags_take_digit_strings_only(capsys, flag, argv, value):
+    # a sign, a blank or an underscore is not part of the digit-string rule
+    if flag.startswith("--max"):
+        argv = [flag, value, *argv]
+    else:
+        argv = [*argv, flag, value]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not an integer: {value!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--max-vars", "--boole"])
+def test_numeric_flag_over_the_digit_limit_is_not_echoed(capsys, flag):
+    limit = sys.get_int_max_str_digits()
+    value = "9" * (limit + 100)
+    argv = [flag, value, "normalize", "x"] if flag == "--max-vars" else ["embed", flag, value]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument {flag}: an integer literal exceeds the limit of {limit} digits\n")
+    assert len(err) < 1000
+
+
+@pytest.mark.parametrize("value", ["+2", "2_0", " 2", "9" * 4400])
+def test_cap_environment_takes_digit_strings_only(capsys, monkeypatch, value):
+    monkeypatch.setenv("BOOLELAB_MAX_VARS", value)
+    assert run(["normalize", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BOOLELAB_MAX_VARS: ")
+    assert len(captured.err) < 1000
+
+
+@pytest.mark.parametrize(
+    "caps, problem, message",
+    [
+        ([], "chain26", "26 variables exceeds the limit of 20"),
+        (["--max-vars", "2"], BARBARA, "3 variables exceeds the limit of 2"),
+    ],
+    ids=["chain26", "barbara"],
+)
+def test_semantic_check_has_the_variable_cap(capsys, tmp_path, caps, problem, message):
+    # holds on P(1) tries 2^m assignments, so a problem over more
+    # variables than the cap is refused before the first one
+    if problem == "chain26":
+        names = [f"v{i:02d}" for i in range(26)]
+        links = [f"premiss: {a} - {a}*{b} = 0" for a, b in zip(names, names[1:])]
+        problem = tmp_path / "chain.prob"
+        problem.write_text("\n".join(links + ["conclude: v00 - v00*v25 = 0"]) + "\n")
+    argv = [*caps, "check", str(problem), "--mode", "semantic"]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", f"cap exceeded: {message}\n")
+    assert run(["--json", *argv]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, SCHEMA)
+    assert (doc["status"], doc["exit_code"], doc["data"]) == ("error", 3, {"error": message})
+
+
+def test_semantic_check_within_the_variable_cap(capsys):
+    assert run(["--max-vars", "3", "check", BARBARA, "--mode", "semantic"]) == 0
+    assert "semantic: valid" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("conclusion", ["x = 0", "x = x"])

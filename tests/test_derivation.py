@@ -35,9 +35,17 @@ from boolelab.derivation import (
     verify_certificate,
 )
 from boolelab.errors import CapExceeded
-from boolelab.polynomial import boole_oracle, normalize
-from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
-from helpers import chain, random_ground_argument, reference_certify_consequence
+from boolelab.polynomial import MultilinearPoly, boole_oracle, normalize
+from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse, variables
+from helpers import (
+    chain,
+    chain_arguments,
+    dense_argument,
+    random_ground_argument,
+    reference_certify_consequence,
+    reference_first_unit_certificate,
+    vertex_walk_certify_consequence,
+)
 
 x, y = Var("x"), Var("y")
 ZERO = IntLit(0)
@@ -51,10 +59,8 @@ def test_barbara_certificate_construction():
     cert = certify_consequence(barbara_premisses(), barbara_conclusion())
     assert cert is not None
     assert cert.n == 1
-    assert [str(c) for c in cert.cofactors] == [
-        "x - x*y - x*z + x*y*z",
-        "x*y - x*y*z",
-    ]
+    # gate 07's textbook certificate: x - x*z = (1 - z)*(x - x*y) + x*(y - y*z)
+    assert [str(c) for c in cert.cofactors] == ["1 - z", "x"]
     assert verify_certificate(barbara_premisses(), barbara_conclusion(), cert).verified
 
 
@@ -84,10 +90,12 @@ def test_torsion_multiplier():
     conclusion = (x, ZERO)
     cert = certify_consequence(premisses, conclusion)
     assert cert.n == 2
-    assert cert.cofactors == (nf("x"),)
+    # where x = 0 the premiss difference 2*x vanishes and leaves the
+    # cofactor free, so it takes its value at x = 1
+    assert cert.cofactors == (nf("1"),)
     assert verify_certificate(premisses, conclusion, cert).verified
-    # the slimmer hand-written cofactor is just as good
-    assert verify_certificate(premisses, conclusion, Certificate(2, (nf("1"),))).verified
+    # the cofactor x that pins 0 at x = 0 is just as good
+    assert verify_certificate(premisses, conclusion, Certificate(2, (nf("x"),))).verified
 
 
 def test_invalid_instances_get_no_certificate():
@@ -127,11 +135,20 @@ def test_oracle_certificate_agreement_random():
 
 
 def assert_same_certificate(premisses, conclusion):
+    """The split-tree certificate against the per-vertex first-unit +
+    restrict reference (cofactors and their vars), the replaced one-walk
+    construction (the same multiplier n) and the oracle (None exactly
+    when it rejects); every certificate verifies."""
     got = certify_consequence(premisses, conclusion)
-    want = reference_certify_consequence(premisses, conclusion)
+    want = reference_first_unit_certificate(premisses, conclusion)
     assert got == want
+    old = vertex_walk_certify_consequence(premisses, conclusion)
+    assert (got is None) == (old is None) == (not boole_oracle(premisses, conclusion).valid)
     if got is not None:
-        assert [c.vars for c in got.cofactors] == [c.vars for c in want.cofactors]
+        names = sorted({v for eq in (*premisses, conclusion) for t in eq for v in variables(t)})
+        assert [c.vars for c in got.cofactors] == [tuple(names)] * len(premisses)
+        assert got.n == old.n
+        assert verify_certificate(premisses, conclusion, got).verified
     return got
 
 
@@ -139,7 +156,11 @@ def test_certify_matches_two_pass_reference_random():
     rng = random.Random(1007)
     produced, multipliers = 0, set()
     for _ in range(300):
-        cert = assert_same_certificate(*random_ground_argument(rng))
+        premisses, conclusion = random_ground_argument(rng)
+        cert = assert_same_certificate(premisses, conclusion)
+        # the replaced one-walk construction is still the two-pass one
+        old = vertex_walk_certify_consequence(premisses, conclusion)
+        assert old == reference_certify_consequence(premisses, conclusion)
         if cert is not None:
             produced += 1
             multipliers.add(cert.n)
@@ -154,6 +175,37 @@ def test_certify_matches_two_pass_reference_chains():
         assert assert_same_certificate(*chain(m, conclusion_first=m - 1, conclusion_last=0)) is None
         for k in range(m - 1):
             assert assert_same_certificate(*chain(m, drop=k)) is None
+
+
+def test_certify_matches_reference_dense():
+    rng = random.Random(4421)
+    for valid in (True, False) * 6:
+        cert = assert_same_certificate(*dense_argument(rng, valid))
+        assert (cert is not None) == valid
+
+
+def test_certify_long_chains():
+    """On the chain over m symbols, cofactor j + 1 is v0*...*v(j-1) times
+    (1 - v(m-1)), and the last one is v0*...*v(m-3): 2m - 3 monomials
+    in all, where the replaced one-walk construction had 2^(m+1) - 2."""
+    for m in (4, 8, 12, 16):
+        args = list(chain_arguments(m))
+        cert = certify_consequence(*args[0], max_vars=m)
+        prefixes = [MultilinearPoly.const(1)]
+        for i in range(m - 2):
+            prefixes.append(prefixes[-1] * MultilinearPoly.variable(f"v{i}"))
+        complement = 1 - MultilinearPoly.variable(f"v{m - 1}")
+        want = [p * complement for p in prefixes[:-1]] + [prefixes[-1]]
+        assert list(cert.cofactors) == want
+        assert sum(len(c.coeffs) for c in cert.cofactors) == 2 * m - 3
+        assert verify_certificate(*args[0], cert).verified
+        if m == 12:
+            assert cert == reference_first_unit_certificate(*args[0])
+        if m >= 12:
+            # below 12, test_certify_matches_two_pass_reference_chains
+            # covers every chain argument
+            assert cert.n == vertex_walk_certify_consequence(*args[0], max_vars=m).n
+            assert all(certify_consequence(*arg, max_vars=m) is None for arg in args[1:])
 
 
 def test_certify_cap_matches_reference():

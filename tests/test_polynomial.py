@@ -24,6 +24,7 @@ from boolelab.polynomial import (
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
 from helpers import (
     chain_arguments,
+    dense_argument,
     eval_int,
     exhaustive_terms,
     random_ground_argument,
@@ -292,6 +293,31 @@ def test_oracle_matches_dict_walk_reference_chains():
         assert verdicts[1].witness == {f"v{i}": int(i == m - 1) for i in range(m)}
         for k, verdict in enumerate(verdicts[2:]):
             assert verdict.witness == {f"v{i}": int(i <= k) for i in range(m)}
+
+
+def test_oracle_long_chains():
+    """The witnesses of the pattern above, which the dict walk shows for
+    m <= 10; against the dict walk itself for the valid, the reversed
+    and the first and last broken chains."""
+    for m in (12, 16):
+        args = list(chain_arguments(m))
+        verdicts = [boole_oracle(*arg) for arg in args]
+        assert verdicts[0].valid
+        assert verdicts[1].witness == {f"v{i}": int(i == m - 1) for i in range(m)}
+        for k, verdict in enumerate(verdicts[2:]):
+            assert verdict.witness == {f"v{i}": int(i <= k) for i in range(m)}
+        for arg in args[:3] + args[-1:]:
+            assert_same_oracle(*arg)
+    # a vertex walk would need 2^40 vertices for the valid chain
+    valid, converse = itertools.islice(chain_arguments(40), 2)
+    assert boole_oracle(*valid, max_vars=40).valid
+    assert boole_oracle(*converse, max_vars=40).witness == {f"v{i}": int(i == 39) for i in range(40)}
+
+
+def test_oracle_matches_dict_walk_reference_dense():
+    rng = random.Random(3141)
+    for valid in (True, False) * 6:
+        assert assert_same_oracle(*dense_argument(rng, valid)).valid == valid
 
 
 def test_expansion_requires_all_vertices():
