@@ -33,7 +33,7 @@ import itertools
 from functools import cached_property
 
 from .errors import CapExceeded, Value
-from .horn import FALSUM, HornSentence
+from .horn import HornSentence
 from .terms import Add, IntLit, Mul, Sub, Term, Var, parse_int, variables
 
 
@@ -140,6 +140,20 @@ class FinitePartialAlgebra(Value):
         return cells, base, index
 
     @cached_property
+    def _entries_by_element(self) -> list:
+        """The defined entries as (op, argument indices, value index),
+        filed under the carrier index of the last element each one
+        mentions, an argument or the value."""
+        index = dict(zip(self.carrier, range(len(self.carrier))))
+        filed: list = [[] for _ in self.carrier]
+        for op, table in self.tables.items():
+            for args, value in table.items():
+                at = tuple(map(index.__getitem__, args))
+                v = index[value]
+                filed[max((*at, v))].append((op, at, v))
+        return filed
+
+    @cached_property
     def _programs(self) -> dict:
         """``eval_term``'s compiled terms: id(t) -> (t, names, program),
         at most _PROGRAMS_KEPT of them."""
@@ -148,6 +162,7 @@ class FinitePartialAlgebra(Value):
 
 _OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
 _NOWHERE = 0  # first cell of a partial algebra's never-defined block
+_NO_ENTRIES: dict = {}  # the table of an operation with no defined entry
 # Terms whose programs one algebra keeps for eval_term.  Callers loop
 # over assignments of a few terms at a time; the bound keeps a caller
 # that streams fresh terms from holding them all.  A full cache is
@@ -279,30 +294,68 @@ def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisfaction
     """Dom-relative satisfaction.
 
     Assignments range over the carrier in the sentence's variable
-    order; ones leaving any term of the sentence undefined are skipped,
-    and the terms of an assignment are evaluated only up to the first
-    undefined one.  The witness, if any, is the first falsifying
-    assignment in that enumeration, hence the lexicographically least
-    one.  Raises UnknownSymbolError if the sentence uses an operation
-    symbol the signature lacks.
+    order; ones leaving any term of the sentence undefined are skipped.
+    The witness, if any, is the lexicographically least assignment that
+    defines every term, satisfies the antecedents and falsifies the
+    consequent (for falsum: any such assignment).
+
+    The assignments are searched depth first, binding the variables in
+    order with the smallest element first and the pending choices on an
+    explicit stack.  Each term and each equation is checked once per
+    branch, at the depth where the last variable it reads is bound; an
+    undefined term, a false antecedent or an equal consequent there
+    rules out every assignment below, so the subtree is dropped, and
+    the first complete assignment reached is the witness.  Raises
+    UnknownSymbolError if the sentence uses an operation symbol the
+    signature lacks, before any assignment is tried.
     """
     cells, base, _ = algebra._layout
     size = len(algebra.carrier)
-    programs = [_compile(t, sentence.vars, base) for t in sentence.all_terms()]
-    n_ante = len(sentence.antecedents)
-    for env in itertools.product(range(size), repeat=len(sentence.vars)):
-        values = []
-        for prog in programs:
+    names = sentence.vars
+    k = len(names)
+    programs = [_compile(t, names, base) for t in sentence.all_terms()]
+    depths = []  # the last variable position (1..k) each program reads, or 0
+    for prog in programs:
+        if prog.__class__ is int:
+            depths.append(prog)
+            continue
+        depth = 0
+        for _, x, y in prog:
+            if depth < x <= k:
+                depth = x
+            if depth < y <= k:
+                depth = y
+        depths.append(depth)
+    # steps[d]: the terms evaluated once names[:d] are bound, as (index,
+    # program, test); the side of an equation evaluated last tests it,
+    # with test True where a witness needs the sides equal (an
+    # antecedent) and False where it needs them unequal (the consequent)
+    steps: list = [[] for _ in range(k + 1)]
+    antecedent_sides = 2 * len(sentence.antecedents)
+    for i in range(0, len(programs), 2):
+        first, last = (i + 1, i) if depths[i] > depths[i + 1] else (i, i + 1)
+        steps[depths[first]].append((first, programs[first], None))
+        steps[depths[last]].append((last, programs[last], i < antecedent_sides))
+    # fixed length, so a program filed at depth d reads only env[:d]
+    env = [0] * k
+    values = [0] * len(programs)  # each term's value on this branch
+    todo = [(0, 0)]  # (depth, element for names[depth - 1])
+    while todo:
+        depth, e = todo.pop()
+        if depth:
+            env[depth - 1] = e
+            if e + 1 < size:
+                todo.append((depth, e + 1))
+        for i, prog, test in steps[depth]:
             v = _eval(prog, env, cells, size)
-            if v < 0:
-                break  # outside the sentence's domain
-            values.append(v)
+            if v < 0 or test is not None and (values[i ^ 1] == v) is not test:
+                break  # outside the domain, or the equation rules out a witness
+            values[i] = v
         else:
-            if any(values[2 * i] != values[2 * i + 1] for i in range(n_ante)):
-                continue  # some antecedent is false
-            if sentence.consequent is FALSUM or values[-2] != values[-1]:
-                witness = {n: algebra.carrier[e] for n, e in zip(sentence.vars, env)}
+            if depth == k:
+                witness = {n: algebra.carrier[e] for n, e in zip(names, env)}
                 return SatisfactionVerdict(False, witness)
+            todo.append((depth + 1, 0))
     return SatisfactionVerdict(True)
 
 
@@ -372,37 +425,35 @@ def check_embedding(p: FinitePartialAlgebra, q: FinitePartialAlgebra, mapping: d
 
 def search_embedding(p: FinitePartialAlgebra, q: FinitePartialAlgebra):
     """First embedding of p into q, trying p's elements in carrier
-    order and images in q's carrier order; None if there is none."""
+    order and images in q's carrier order; None if there is none.
+
+    The search is depth first with the pending choices on an explicit
+    stack.  Each defined entry of p is checked once per branch, when
+    the last element it mentions is mapped (``_entries_by_element``);
+    q's tables are read as given."""
     if set(p.signature) - set(q.signature):
         raise ValueError("embedding needs p's signature inside q's")
-    entries = list(p.defined_entries())
-    mapping: dict = {}
-
-    def extend(i: int):
-        if i == len(p.carrier):
-            yield dict(mapping)
-            return
-        element = p.carrier[i]
-        for target in q.carrier:
-            if target in mapping.values():
-                continue
-            mapping[element] = target
-            if _entries_consistent(q, entries, mapping):
-                yield from extend(i + 1)
-            del mapping[element]
-
-    return next(extend(0), None)
-
-
-def _entries_consistent(q, entries, mapping) -> bool:
-    # check only the entries whose inputs and output are all mapped
-    for op, args, value in entries:
-        if value not in mapping or any(a not in mapping for a in args):
+    filed = p._entries_by_element
+    tables = q.tables
+    targets = q.carrier[::-1]
+    last = len(p.carrier) - 1
+    image: list = []  # image[i] is the target of p.carrier[i] on this branch
+    look = image.__getitem__
+    todo = [(0, t) for t in targets]
+    while todo:
+        i, target = todo.pop()
+        del image[i:]
+        if target in image:
             continue
-        target = q.tables.get(op, {}).get(tuple(mapping[a] for a in args))
-        if target is None or target != mapping[value]:
-            return False
-    return True
+        image.append(target)
+        for op, args, value in filed[i]:
+            if tables.get(op, _NO_ENTRIES).get(tuple(map(look, args))) != image[value]:
+                break
+        else:
+            if i == last:
+                return dict(zip(p.carrier, image))
+            todo += [(i + 1, t) for t in targets]
+    return None
 
 
 class Presentation(Value):

@@ -202,8 +202,12 @@ def semantic_consequence(
     ``holds`` of the Horn sentence premisses -> conclusion, over the
     sorted class symbols, on P(1) alone: by the rule of 0 and 1 (see
     SemanticVerdict) that decides every universe, so a verdict for
-    sizes 1..max_n is the same verdict.  A max_n above the cap raises
-    CapExceeded before any assignment is tried.
+    sizes 1..max_n is the same verdict.  ``holds`` binds the symbols in
+    sorted order and drops a subtree of assignments as soon as a term
+    is undefined, a premiss false or the conclusion true in it, so a
+    chain of inclusions over 40 symbols takes milliseconds; in the
+    worst case it still tries all 2^m assignments.  A max_n above the
+    cap raises CapExceeded before any assignment is tried.
     """
     if max_n < 1:
         raise ValueError("the universe must be nonempty")

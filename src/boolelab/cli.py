@@ -26,6 +26,7 @@ from .errors import CapExceeded
 DEFAULT_MAX_VARS = 20
 DEFAULT_MAX_UNIVERSE = 5
 DEFAULT_MAX_MODEL_SIZE = 4
+_ECHO_CHARS = 20  # the most characters of a bad numeric value a message repeats
 
 
 def _witness_str(witness: dict | None) -> str:
@@ -46,9 +47,12 @@ def _positive_int(text: str) -> int:
     try:
         value = parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r} (digits only, with no sign, blank or underscore)"
-        ) from None
+        rule = "digits only, with no sign, blank or underscore"
+        if len(text) <= _ECHO_CHARS:
+            shown = repr(text)
+        else:  # a long value is echoed by its start and its length
+            shown, rule = f"{text[:_ECHO_CHARS]!r}...", f"{len(text)} characters; {rule}"
+        raise argparse.ArgumentTypeError(f"not an integer: {shown} ({rule})") from None
     except CapExceeded as exc:
         # the message names the digit limit, not the value
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -286,7 +290,9 @@ def _cmd_check(args, caps):
             symbolic.append(checked.verified)
     semantic = None
     if "semantic" in want:
-        # holds on P(1) tries all 2^m assignments of the m variables
+        # holds on P(1) drops each subtree of assignments once a term is
+        # undefined, an antecedent false or the conclusion true there,
+        # but in the worst case it still tries all 2^m of them
         equations = [*problem.premisses, problem.conclusion]
         check_var_cap(set().union(*map(equation_variables, equations)), caps["max_vars"])
         semantic = semantic_consequence(

@@ -9,9 +9,10 @@ takes its class algebras from ``classes.build_pu``, the reference
 oracle and vertex reconstruction, which compute with
 ``MultilinearPoly`` and take their local coefficients from
 ``derivation._bezout``, the replaced one-walk certify, which runs on
-the package's vertex-index helpers, and the reference normalizer,
-which computes with ``MultilinearPoly``'s operators; their loops are
-independent.
+the package's vertex-index helpers, the reference normalizer, which
+computes with ``MultilinearPoly``'s operators, and the replaced
+assignment loop of ``holds``, which runs the package's compiled
+programs; their loops are independent.
 """
 
 import dataclasses
@@ -23,7 +24,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from boolelab.algebra import UNDEFINED, FinitePartialAlgebra, UnknownSymbolError
+from boolelab.algebra import (
+    UNDEFINED,
+    FinitePartialAlgebra,
+    SatisfactionVerdict,
+    UnknownSymbolError,
+    _compile,
+    _eval,
+)
 from boolelab.classes import build_pu
 from boolelab.derivation import Certificate, _bezout
 from boolelab.horn import FALSUM, HornSentence
@@ -455,6 +463,70 @@ def reference_semantic_consequence(premisses, conclusion, max_n: int = 3):
             if values[-2] != values[-1]:
                 return False, n, assignment
     return True, None, None
+
+
+# ------------------------------------ reference holds and embedding search
+#
+# The loops that the backtracking ``algebra.holds`` and
+# ``algebra.search_embedding`` replaced: every assignment in product
+# order with every term evaluated, and every extension of the mapping
+# re-checking every entry of p whose elements are all mapped.  Verdicts,
+# witnesses and first mappings must match exactly.
+
+
+def reference_holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> SatisfactionVerdict:
+    """Dom-relative satisfaction by listing all |A|^k assignments."""
+    cells, base, _ = algebra._layout
+    size = len(algebra.carrier)
+    programs = [_compile(t, sentence.vars, base) for t in sentence.all_terms()]
+    n_ante = len(sentence.antecedents)
+    for env in itertools.product(range(size), repeat=len(sentence.vars)):
+        values = []
+        for prog in programs:
+            v = _eval(prog, env, cells, size)
+            if v < 0:
+                break  # outside the sentence's domain
+            values.append(v)
+        else:
+            if any(values[2 * i] != values[2 * i + 1] for i in range(n_ante)):
+                continue  # some antecedent is false
+            if sentence.consequent is FALSUM or values[-2] != values[-1]:
+                witness = {n: algebra.carrier[e] for n, e in zip(sentence.vars, env)}
+                return SatisfactionVerdict(False, witness)
+    return SatisfactionVerdict(True)
+
+
+def reference_search_embedding(p: FinitePartialAlgebra, q: FinitePartialAlgebra):
+    """First embedding of p into q by recursive extension, re-checking
+    every fully mapped entry of p after each step."""
+    if set(p.signature) - set(q.signature):
+        raise ValueError("embedding needs p's signature inside q's")
+    entries = list(p.defined_entries())
+    mapping: dict = {}
+
+    def consistent() -> bool:
+        for op, args, value in entries:
+            if value not in mapping or any(a not in mapping for a in args):
+                continue
+            target = q.tables.get(op, {}).get(tuple(mapping[a] for a in args))
+            if target is None or target != mapping[value]:
+                return False
+        return True
+
+    def extend(i: int):
+        if i == len(p.carrier):
+            yield dict(mapping)
+            return
+        element = p.carrier[i]
+        for target in q.carrier:
+            if target in mapping.values():
+                continue
+            mapping[element] = target
+            if consistent():
+                yield from extend(i + 1)
+            del mapping[element]
+
+    return next(extend(0), None)
 
 
 # ------------------------------------------------ reference normalizer

@@ -23,10 +23,17 @@ from boolelab.algebra import (
 from boolelab.classes import build_pu, semantic_consequence
 from boolelab.counterexamples import intro_algebra, max_algebra, xor_algebra
 from boolelab.errors import CapExceeded
-from boolelab.horn import horn_sentence, identity
-from boolelab.models import search_total_model
+from boolelab.horn import FALSUM, HornSentence, horn_sentence, identity
+from boolelab.models import hailperin_laws, search_total_model
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
-from helpers import reference_eval_term, small_algebras
+from helpers import (
+    random_plus_sentence,
+    random_term,
+    reference_eval_term,
+    reference_holds,
+    reference_search_embedding,
+    small_algebras,
+)
 
 x, y = Var("x"), Var("y")
 
@@ -225,6 +232,144 @@ def test_domain_includes_consequent_terms():
     verdict = holds(pu, bare)
     assert not verdict.holds
     assert verdict.witness == {"x": "{0}"}
+
+
+def same_verdict(algebra, sentence):
+    got = holds(algebra, sentence)
+    expected = reference_holds(algebra, sentence)
+    assert (got.holds, got.witness) == (expected.holds, expected.witness), (
+        format_algebra(algebra),
+        str(sentence),
+    )
+    return got.holds
+
+
+def test_holds_matches_reference_on_small_algebras():
+    """The backtracking search against the full assignment loop: the
+    same verdict and least witness for seeded one-operation sentences,
+    with antecedents and with a falsum consequent."""
+    rng = random.Random(1975)
+    outcomes = Counter()
+    for algebra in small_algebras():
+        for _ in range(12):
+            sentence = random_plus_sentence(rng)
+            outcomes[same_verdict(algebra, sentence)] += 1
+            antecedents = sentence.antecedents or (sentence.consequent,)
+            negative = HornSentence(sentence.vars, antecedents, FALSUM)
+            outcomes["falsum", same_verdict(algebra, negative)] += 1
+    assert all(outcomes[key] > 50 for key in (True, False, ("falsum", True), ("falsum", False)))
+
+
+def test_holds_matches_reference_on_hailperin_laws():
+    # every ring law holds where it is defined in the class algebras
+    for n in (1, 2, 3):
+        pu = build_pu(n).algebra
+        assert all(same_verdict(pu, law) for law in hailperin_laws())
+
+
+_RING_SIGNATURE = (("+", 2), ("-", 2), ("*", 2), ("0", 0), ("1", 0))
+
+
+def _ring_algebra(rng: random.Random, names=("a", "b", "c", "d")) -> FinitePartialAlgebra:
+    """A partial algebra in the ring signature on 1 to 4 of ``names``:
+    each table is absent, empty, total or defined at random cells, so
+    constants may be undefined too."""
+    carrier = tuple(rng.sample(names, rng.randint(1, len(names))))
+    tables = {}
+    for op, k in _RING_SIGNATURE:
+        shape = rng.random()
+        if shape < 0.1:
+            continue  # no table at all
+        density = 0.0 if shape < 0.2 else 1.0 if shape < 0.3 else rng.random()
+        tables[op] = {
+            args: rng.choice(carrier)
+            for args in itertools.product(carrier, repeat=k)
+            if rng.random() < density
+        }
+    return FinitePartialAlgebra(carrier, _RING_SIGNATURE, tables)
+
+
+def _subalgebra_of(rng: random.Random, q: FinitePartialAlgebra) -> FinitePartialAlgebra:
+    """A partial algebra that embeds into q: q restricted to a random
+    subset of its carrier, with some entries dropped and the elements
+    renamed and listed in a random order."""
+    kept = rng.sample(q.carrier, rng.randint(1, len(q.carrier)))
+    rename = {e: f"p{i}" for i, e in enumerate(kept)}
+    tables = {
+        op: {
+            tuple(rename[a] for a in args): rename[v]
+            for args, v in table.items()
+            if v in rename and all(a in rename for a in args) and rng.random() < 0.8
+        }
+        for op, table in q.tables.items()
+    }
+    return FinitePartialAlgebra(tuple(rename[e] for e in kept), q.signature, tables)
+
+
+def test_holds_matches_reference_on_random_algebras():
+    """Up to four elements, constants that may be undefined, absent and
+    empty tables, and ring terms with literals that read no table."""
+    rng = random.Random(1976)
+    outcomes = set()
+    for _ in range(400):
+        algebra = _ring_algebra(rng)
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        def equation():
+            return (random_term(rng, names, 3), random_term(rng, names, 2))
+        antecedents = tuple(equation() for _ in range(rng.randint(0, 2)))
+        consequent = FALSUM if antecedents and rng.random() < 0.2 else equation()
+        sentence = horn_sentence(antecedents, consequent, vars=names)
+        outcomes.add(same_verdict(algebra, sentence))
+    assert outcomes == {True, False}
+
+
+def test_holds_without_variables():
+    pu = build_pu(1).algebra
+    assert holds(pu, identity(parse("1*1"), parse("1"))).holds
+    verdict = holds(pu, identity(parse("1"), parse("0")))
+    assert (verdict.holds, verdict.witness) == (False, {})
+    # undefined ground terms leave the sentence nothing to judge
+    assert holds(pu, identity(parse("1 + 1"), parse("0"))).holds
+
+
+def test_search_embedding_matches_reference_on_small_algebras():
+    """Every ordered pair of the 85 small algebras: the same first
+    mapping, or None for both."""
+    algebras = small_algebras()
+    found = 0
+    for p in algebras:
+        for q in algebras:
+            mapping = search_embedding(p, q)
+            assert mapping == reference_search_embedding(p, q), (p, q)
+            if mapping is not None:
+                assert list(mapping) == list(p.carrier)
+                assert check_embedding(p, q, mapping).ok
+                found += 1
+    assert found > 847
+
+
+def test_search_embedding_matches_reference_on_random_algebras():
+    rng = random.Random(1976)
+    found = 0
+    for _ in range(600):
+        q = _ring_algebra(rng)
+        p = _subalgebra_of(rng, q) if rng.random() < 0.7 else _ring_algebra(rng)
+        mapping = search_embedding(p, q)
+        assert mapping == reference_search_embedding(p, q), (format_algebra(p), format_algebra(q))
+        if mapping is not None:
+            assert check_embedding(p, q, mapping).ok
+            found += 1
+    assert 200 < found < 600
+
+
+def test_search_embedding_reads_q_as_given():
+    # q interprets a symbol p lacks, and has no table for one p has
+    p = FinitePartialAlgebra(("a",), (("c", 0),), {})
+    q = FinitePartialAlgebra(("u", "v"), (("c", 0), ("f", 1)), {"f": {("u",): "v"}})
+    assert search_embedding(p, q) == {"a": "u"}
+    p1 = FinitePartialAlgebra(("a",), (("c", 0),), {"c": {(): "a"}})
+    assert search_embedding(p1, q) is None
+    assert search_embedding(p1, FinitePartialAlgebra(("u", "v"), (("c", 0),), {"c": {(): "v"}})) == {"a": "v"}
 
 
 def test_weak_subalgebra_reflexive():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from boolelab.algebra import holds
+from boolelab.algebra import UNDEFINED, holds
 from boolelab.classes import (
     IntVector,
     build_pu,
@@ -20,7 +20,13 @@ from boolelab.errors import CapExceeded
 from boolelab.horn import horn_sentence
 from boolelab.polynomial import boole_oracle
 from boolelab.terms import parse
-from helpers import random_ground_argument, reference_semantic_consequence
+from helpers import (
+    chain,
+    random_ground_argument,
+    reference_eval_term,
+    reference_holds,
+    reference_semantic_consequence,
+)
 
 
 def independent_tables(n: int):
@@ -191,6 +197,60 @@ def test_semantic_matches_reference_loop():
     # P(U) with n points is the n-th power of P(U) with one point, with
     # definedness componentwise, so a witness always exists at n = 1
     assert outcomes == {None, 1}
+
+
+def test_semantic_matches_reference_holds():
+    """The backtracking search on P(1) against the full assignment
+    loop of the replaced ``holds``."""
+    rng = random.Random(1976)
+    pu = build_pu(1).algebra
+    outcomes = set()
+    for _ in range(300):
+        premisses, conclusion = random_ground_argument(rng)
+        verdict = semantic_consequence(premisses, conclusion)
+        expected = reference_holds(pu, horn_sentence(premisses, conclusion))
+        assert (verdict.valid, verdict.witness) == (expected.holds, expected.witness), (
+            premisses,
+            conclusion,
+        )
+        outcomes.add(verdict.valid)
+    assert outcomes == {True, False}
+
+
+def assert_refutes(premisses, conclusion, witness):
+    """Under the witness every term is defined on P(1), the premisses
+    hold and the conclusion fails."""
+    pu = build_pu(1).algebra
+    values = [
+        (reference_eval_term(pu, lhs, witness), reference_eval_term(pu, rhs, witness))
+        for lhs, rhs in [*premisses, conclusion]
+    ]
+    assert all(UNDEFINED not in pair for pair in values)
+    assert all(a == b for a, b in values[:-1])
+    assert values[-1][0] != values[-1][1]
+
+
+def test_semantic_decides_long_chains():
+    """A chain of inclusions over 40 symbols, 2^40 assignments to a
+    loop: valid, and refuted with the middle link dropped."""
+    assert semantic_consequence(*chain(40)).valid
+    premisses, conclusion = chain(40, drop=20)
+    verdict = semantic_consequence(premisses, conclusion)
+    assert not verdict.valid and verdict.witness_n == 1
+    assert_refutes(premisses, conclusion, verdict.witness)
+
+
+def test_semantic_chains_match_reference_holds():
+    pu = build_pu(1).algebra
+    for m in range(2, 15):
+        for drop in (None, m // 2 - 1 if m > 2 else None):
+            premisses, conclusion = chain(m, drop=drop)
+            verdict = semantic_consequence(premisses, conclusion)
+            expected = reference_holds(pu, horn_sentence(premisses, conclusion))
+            assert (verdict.valid, verdict.witness) == (expected.holds, expected.witness), (m, drop)
+            assert verdict.valid == (drop is None)
+            if drop is not None:
+                assert_refutes(premisses, conclusion, verdict.witness)
 
 
 def test_p1_verdict_matches_reference_loop_up_to_four_points():

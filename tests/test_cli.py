@@ -383,6 +383,27 @@ def test_numeric_flag_over_the_digit_limit_is_not_echoed(capsys, flag):
     assert len(err) < 1000
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("abc", "'abc' (digits only"),
+        ("x" * 20, f"'{'x' * 20}' (digits only"),
+        ("x" * 21, f"'{'x' * 20}'... (21 characters; digits only"),
+        ("a" * 4400, f"'{'a' * 20}'... (4400 characters; digits only"),
+    ],
+    ids=["short", "20", "21", "4400"],
+)
+def test_non_integer_value_is_echoed_up_to_twenty_characters(capsys, monkeypatch, value, shown):
+    rule = ", with no sign, blank or underscore)\n"
+    assert run(["embed", "--boole", value]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument --boole: not an integer: {shown}{rule}")
+    assert len(err) < 200
+    monkeypatch.setenv("BOOLELAB_MAX_VARS", value)
+    assert run(["normalize", "x"]) == 2
+    assert capsys.readouterr().err == f"error: BOOLELAB_MAX_VARS: not an integer: {shown}{rule}"
+
+
 @pytest.mark.parametrize("value", ["+2", "2_0", " 2", "9" * 4400])
 def test_cap_environment_takes_digit_strings_only(capsys, monkeypatch, value):
     monkeypatch.setenv("BOOLELAB_MAX_VARS", value)
@@ -402,8 +423,9 @@ def test_cap_environment_takes_digit_strings_only(capsys, monkeypatch, value):
     ids=["chain26", "barbara"],
 )
 def test_semantic_check_has_the_variable_cap(capsys, tmp_path, caps, problem, message):
-    # holds on P(1) tries 2^m assignments, so a problem over more
-    # variables than the cap is refused before the first one
+    # holds on P(1) prunes, but may still try 2^m assignments, so a
+    # problem over more variables than the cap is refused before the
+    # first one
     if problem == "chain26":
         names = [f"v{i:02d}" for i in range(26)]
         links = [f"premiss: {a} - {a}*{b} = 0" for a, b in zip(names, names[1:])]
