@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, Value
 from .horn import HornSentence
-from .terms import Add, IntLit, Mul, Sub, Term, Var, parse_int, variables
+from .terms import Add, Mul, Sub, Term, Var, fold, parse_int, variables
 
 
 class _Undefined:
@@ -180,53 +180,42 @@ def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
     index in ``values``.  A literal n >= 2 reads the constant named n,
     or a never-defined cell; with ``max_sum`` it is n - 1 additions of
     the unit instead, and n above ``max_sum`` raises CapExceeded.
-    Unknown symbols raise UnknownSymbolError here, before any
-    evaluation.  The walk is iterative, so depth is unlimited.
+    The first unknown symbol in post-order raises UnknownSymbolError
+    here, before any evaluation.  The walk is a ``fold``, so depth is
+    unlimited.
     """
     position = {name: i for i, name in enumerate(names, 1)}
     prog: list = []
-    operands: list = []
+    offset = len(names)  # instruction i's result is values[offset + i + 1]
 
-    def emit(ins) -> int:
-        prog.append(ins)
-        return len(names) + len(prog)
+    def leaf(x) -> int:
+        if x.__class__ is Var:
+            if x.name not in position:
+                raise UnknownSymbolError(f"unbound variable {x.name!r}")
+            return position[x.name]
+        name = str(x.value)
+        if max_sum is not None and x.value > 1:
+            if x.value > max_sum:
+                raise CapExceeded(f"integer literal {x.value} exceeds the limit of {max_sum}")
+            prog.append((base["1"], 0, 0))
+            unit = offset + len(prog)
+            for _ in range(x.value - 1):
+                prog.append((base["+"], offset + len(prog), unit))
+            return offset + len(prog)
+        if name in base or x.value > 1:
+            prog.append((base.get(name, _NOWHERE), 0, 0))
+            return offset + len(prog)
+        raise UnknownSymbolError(f"no constant {name!r} in the signature")
 
-    todo: list = [(t, False)]
-    while todo:
-        node, children_done = todo.pop()
-        if isinstance(node, Var):
-            if node.name not in position:
-                raise UnknownSymbolError(f"unbound variable {node.name!r}")
-            operands.append(position[node.name])
-        elif isinstance(node, IntLit):
-            name = str(node.value)
-            if max_sum is not None and node.value > 1:
-                if node.value > max_sum:
-                    raise CapExceeded(
-                        f"integer literal {node.value} exceeds the limit of {max_sum}"
-                    )
-                unit = acc = emit((base["1"], 0, 0))
-                for _ in range(node.value - 1):
-                    acc = emit((base["+"], acc, unit))
-                operands.append(acc)
-            elif name in base or node.value > 1:
-                operands.append(emit((base.get(name, _NOWHERE), 0, 0)))
-            else:
-                raise UnknownSymbolError(f"no constant {name!r} in the signature")
-        elif children_done:
-            y = operands.pop()
-            x = operands.pop()
-            operands.append(emit((base[_OP_NAMES[type(node)]], x, y)))
-        else:
-            op = _OP_NAMES.get(type(node))
-            if op is None:
-                raise TypeError(f"not a term: {node!r}")
-            if op not in base:
-                raise UnknownSymbolError(f"no operation {op!r} in the signature")
-            todo.append((node, True))
-            todo.append((node.right, False))
-            todo.append((node.left, False))
-    return tuple(prog) if prog else operands[0]
+    def node(n, x: int, y: int) -> int:
+        op = _OP_NAMES[n.__class__]
+        if op not in base:
+            raise UnknownSymbolError(f"no operation {op!r} in the signature")
+        prog.append((base[op], x, y))
+        return offset + len(prog)
+
+    operand = fold(t, leaf, node)
+    return tuple(prog) if prog else operand
 
 
 def _eval(prog, env, cells: list, size: int) -> int:

@@ -252,6 +252,13 @@ def _cmd_check(args, caps):
     want = (
         ("oracle", "certificate", "semantic") if args.mode == "all" else (args.mode,)
     )
+    # every mode may take 2^m steps: count first, then normalize capped
+    equations = [*problem.premisses, problem.conclusion]
+    check_var_cap(set().union(*map(equation_variables, equations)), caps["max_vars"])
+    if "oracle" in want or "certificate" in want:
+        for eq in equations:
+            for side in eq:
+                _normalize_capped(side, caps["max_vars"])
     oracle = None
     if "oracle" in want:
         oracle = boole_oracle(
@@ -290,11 +297,6 @@ def _cmd_check(args, caps):
             symbolic.append(checked.verified)
     semantic = None
     if "semantic" in want:
-        # holds on P(1) drops each subtree of assignments once a term is
-        # undefined, an antecedent false or the conclusion true there,
-        # but in the worst case it still tries all 2^m of them
-        equations = [*problem.premisses, problem.conclusion]
-        check_var_cap(set().union(*map(equation_variables, equations)), caps["max_vars"])
         semantic = semantic_consequence(
             problem.premisses,
             problem.conclusion,
@@ -320,7 +322,7 @@ def _cmd_check(args, caps):
 
         with open(args.trace) as fh:
             trace = parse_trace(fh.read(), premisses=problem.premisses)
-        verdict = check_trace(trace, problem.mode)
+        verdict = check_trace(trace, problem.mode, max_pairs=1 << caps["max_vars"])
         if verdict.accepted:
             lines.append(f"trace ({problem.mode}): accepted")
         else:

@@ -16,7 +16,7 @@ from operator import sub
 from types import MappingProxyType
 
 from .errors import CapExceeded, Value
-from .terms import Add, IntLit, Mul, Sub, Term, Var
+from .terms import Add, Mul, Term, Var, fold
 
 Monomial = frozenset
 
@@ -80,9 +80,6 @@ class MultilinearPoly:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def coefficient(self, mono) -> int:
-        return self._coeffs.get(frozenset(mono), 0)
 
     def with_vars(self, extra) -> "MultilinearPoly":
         return MultilinearPoly(set(self.vars) | set(extra), self._coeffs)
@@ -198,9 +195,12 @@ def _fold(left: dict, right: dict, sign: int) -> None:
             del left[mono]
 
 
-# Marks the point in normalize's walk where both operands of the node
-# below it on the stack are done.
-_COMBINE = object()
+def _pair_cap(left: dict, right: dict, max_pairs: int | None) -> None:
+    """Raise CapExceeded before a product of polynomials with these
+    monomials that would multiply more than ``max_pairs`` pairs."""
+    pairs = len(left) * len(right)
+    if max_pairs is not None and pairs > max_pairs:
+        raise CapExceeded(f"{pairs} monomial pairs in one product exceeds the limit of {max_pairs}")
 
 
 def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
@@ -211,13 +211,13 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
     elements to the variables.  ``vars`` lists every variable of the
     term, cancelled ones included.
 
-    One post-order walk with an explicit stack, so any depth is fine.
-    Operands are plain {monomial: coefficient} dicts with no zero
-    entries; a sum or difference folds its right operand into its left
-    one in place, so a left-deep sum of k terms costs O(k).  A product
-    of k sums can have 2^k monomials, so with ``max_pairs`` a product
-    step that would multiply more monomial pairs than that raises
-    CapExceeded before it starts.
+    One ``fold`` of the term, so any depth is fine.  Operands are plain
+    {monomial: coefficient} dicts with no zero entries; a sum or
+    difference folds its right operand into its left one in place, so a
+    left-deep sum of k terms costs O(k).  A product of k sums can have
+    2^k monomials, so with ``max_pairs`` a product step that would
+    multiply more monomial pairs than that raises CapExceeded before it
+    starts.
 
     The result is kept on the term node, so later calls on the same node
     return the same (immutable) object without a walk.  A call with
@@ -229,38 +229,26 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
         except AttributeError:
             pass
     names: set[str] = set()
-    values: list[dict[frozenset, int]] = []
-    todo: list = [term]
-    while todo:
-        node = todo.pop()
-        if node is _COMBINE:
-            op = todo.pop()
-            right = values.pop()
-            left = values[-1]
-            if isinstance(op, Mul):
-                pairs = len(left) * len(right)
-                if max_pairs is not None and pairs > max_pairs:
-                    raise CapExceeded(
-                        f"{pairs} monomial pairs in one product exceeds the limit of {max_pairs}"
-                    )
-                product: dict[frozenset, int] = {}
-                for m1, c1 in left.items():
-                    for m2, c2 in right.items():
-                        mono = m1 | m2  # union = idempotent exponent collapse
-                        product[mono] = product.get(mono, 0) + c1 * c2
-                values[-1] = {m: c for m, c in product.items() if c}
-            else:
-                _fold(left, right, 1 if isinstance(op, Add) else -1)
-        elif isinstance(node, Var):
-            names.add(node.name)
-            values.append({frozenset((node.name,)): 1})
-        elif isinstance(node, IntLit):
-            values.append({frozenset(): node.value} if node.value else {})
-        elif isinstance(node, (Add, Sub, Mul)):
-            todo += (node, _COMBINE, node.right, node.left)
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    form = MultilinearPoly(names, values[0])
+
+    def leaf(x) -> dict:
+        if x.__class__ is Var:
+            names.add(x.name)
+            return {frozenset((x.name,)): 1}
+        return {frozenset(): x.value} if x.value else {}
+
+    def node(n, left: dict, right: dict) -> dict:
+        if n.__class__ is not Mul:
+            _fold(left, right, 1 if n.__class__ is Add else -1)
+            return left
+        _pair_cap(left, right, max_pairs)
+        product: dict[frozenset, int] = {}
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                mono = m1 | m2  # union = idempotent exponent collapse
+                product[mono] = product.get(mono, 0) + c1 * c2
+        return {m: c for m, c in product.items() if c}
+
+    form = MultilinearPoly(names, fold(term, leaf, node))
     object.__setattr__(term, "_form", form)  # nodes refuse plain assignment
     return form
 
@@ -483,12 +471,13 @@ class OracleVerdict(Value):
         return self.valid
 
 
-def equation_difference(eq: tuple[Term, Term]) -> MultilinearPoly:
+def equation_difference(eq: tuple[Term, Term], max_pairs: int | None = None) -> MultilinearPoly:
     """The normal form of ``lhs - rhs``, built from the kept normal forms
-    of the two sides; equal to ``normalize(Sub(lhs, rhs))`` down to its
-    vars and the order of its coefficients."""
+    of the two sides (each capped by ``max_pairs``, as in ``normalize``);
+    equal to ``normalize(Sub(lhs, rhs))`` down to its vars and the order
+    of its coefficients."""
     lhs, rhs = eq
-    left, right = normalize(lhs), normalize(rhs)
+    left, right = normalize(lhs, max_pairs), normalize(rhs, max_pairs)
     coeffs = dict(left._coeffs)
     _fold(coeffs, right._coeffs, -1)
     # a normal form's vars cover its monomials, and _fold drops zeros

@@ -116,9 +116,17 @@ class _Binary(Term):
         cls.__init__ = own
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
+        # pairwise on an explicit stack, so any depth is fine
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if isinstance(a, _Binary) and a.__class__ is b.__class__:
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif a is not b and a != b:
+                return False
+        return True
 
     def __hash__(self):
         return hash((self.left, self.right))
@@ -297,45 +305,42 @@ def variables(t: Term) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
+_OPERANDS_DONE = object()  # on fold's stack: both operands of the node below are done
+
+
+def fold(t: Term, leaf, node):
+    """The post-order fold of a term: ``leaf(x)`` at each Var or IntLit
+    x, and ``node(n, a, b)`` at each binary node n, where a and b are
+    the results for its left and right operands, the left one computed
+    first.  Anything else raises TypeError.  Nodes wait on an explicit
+    stack, so any depth is fine."""
+    values: list = []
+    todo: list = [t]
+    pop, push = todo.pop, values.append
+    while todo:
+        n = pop()
+        if n is _OPERANDS_DONE:
+            b = values.pop()
+            values[-1] = node(pop(), values[-1], b)
+            continue
+        kind = n.__class__
+        if kind is Var or kind is IntLit:
+            push(leaf(n))
+        elif kind is Add or kind is Sub or kind is Mul:
+            todo += (n, _OPERANDS_DONE, n.right, n.left)
+        else:
+            raise TypeError(f"not a term: {n!r}")
+    return values[0]
+
+
 def substitute(t: Term, mapping: dict[str, Term]) -> Term:
     """Replace each Var named in ``mapping`` by the given term."""
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, (Add, Sub, Mul)):
-        return type(t)(substitute(t.left, mapping), substitute(t.right, mapping))
-    return t
+    def leaf(x):
+        return mapping.get(x.name, x) if x.__class__ is Var else x
+
+    return fold(t, leaf, lambda n, a, b: n.__class__(a, b))
 
 
 def count_var(t: Term, name: str) -> int:
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    if isinstance(t, (Add, Sub, Mul)):
-        return count_var(t.left, name) + count_var(t.right, name)
-    return 0
-
-
-def replaced_once(t: Term, pattern: Term, replacement: Term):
-    """Yield every term obtained from t by rewriting one occurrence of
-    ``pattern`` to ``replacement``."""
-    if t == pattern:
-        yield replacement
-    if isinstance(t, (Add, Sub, Mul)):
-        for left in replaced_once(t.left, pattern, replacement):
-            yield type(t)(left, t.right)
-        for right in replaced_once(t.right, pattern, replacement):
-            yield type(t)(t.left, right)
-
-
-def depth(t: Term) -> int:
-    """Nodes on the longest root-to-leaf path; a leaf has depth 1.  The
-    walk is iterative, so any depth is fine."""
-    deepest = 0
-    todo = [(t, 1)]
-    while todo:
-        node, d = todo.pop()
-        if isinstance(node, (Add, Sub, Mul)):
-            todo.append((node.left, d + 1))
-            todo.append((node.right, d + 1))
-        elif d > deepest:
-            deepest = d
-    return deepest
+    """Occurrences of the variable ``name`` in t."""
+    return fold(t, lambda x: int(x.__class__ is Var and x.name == name), lambda n, a, b: a + b)

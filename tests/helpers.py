@@ -10,9 +10,12 @@ oracle and vertex reconstruction, which compute with
 ``MultilinearPoly`` and take their local coefficients from
 ``derivation._bezout``, the replaced one-walk certify, which runs on
 the package's vertex-index helpers, the reference normalizer, which
-computes with ``MultilinearPoly``'s operators, and the replaced
+computes with ``MultilinearPoly``'s operators, the replaced
 assignment loop of ``holds``, which runs the package's compiled
-programs; their loops are independent.
+programs, the recursive free-ring normalizer, which multiplies and adds
+with ``derivation``'s ``_rp_mul`` and ``_rp_add``, and the replaced
+compiler, which reads ``algebra``'s operation names; their loops are
+independent.
 """
 
 import dataclasses
@@ -25,6 +28,8 @@ import sys
 from pathlib import Path
 
 from boolelab.algebra import (
+    _NOWHERE,
+    _OP_NAMES,
     UNDEFINED,
     FinitePartialAlgebra,
     SatisfactionVerdict,
@@ -33,7 +38,8 @@ from boolelab.algebra import (
     _eval,
 )
 from boolelab.classes import build_pu
-from boolelab.derivation import Certificate, _bezout
+from boolelab.derivation import Certificate, _bezout, _rp_add, _rp_mul
+from boolelab.errors import CapExceeded
 from boolelab.horn import FALSUM, HornSentence
 from boolelab.models import signature_of
 from boolelab.polynomial import (
@@ -103,6 +109,24 @@ def random_term(rng: random.Random, names, depth: int) -> Term:
         random_term(rng, names, depth - 1),
         random_term(rng, names, depth - 1),
     )
+
+
+def leaves(t: Term) -> list:
+    """The leaves of t, left to right."""
+    if isinstance(t, (Add, Sub, Mul)):
+        return leaves(t.left) + leaves(t.right)
+    return [t]
+
+
+def with_leaf(t: Term, k: int, leaf: Term) -> Term:
+    """t with its k-th leaf, counted left to right from 0, replaced."""
+    def walk(t, k):
+        if isinstance(t, (Add, Sub, Mul)):
+            left, k = walk(t.left, k)
+            right, k = walk(t.right, k)
+            return type(t)(left, right), k
+        return (leaf if k == 0 else t), k - 1
+    return walk(t, k)[0]
 
 
 def random_ground_argument(rng: random.Random):
@@ -554,6 +578,116 @@ def _ref_normalize(t: Term) -> MultilinearPoly:
 
 def reference_normalize(t: Term) -> MultilinearPoly:
     return _ref_normalize(t).with_vars(variables(t))
+
+
+# -------------------------------------------------- reference term walks
+#
+# The recursive walks that ``terms.fold``, the pairwise loop of
+# ``_Binary.__eq__`` and the one descent of ``DeltaIdempotence``
+# replaced, and ``algebra._compile`` as it was before it became a fold:
+# it checks each operation before its operands, so it reports the first
+# unknown symbol in pre-order.  The differential tests hold the results
+# equal, and the compiled programs tuple-identical.
+
+
+def reference_equal(a, b) -> bool:
+    """The tuple-form equality of the term nodes: same kind, then equal
+    fields, the left operand compared first."""
+    if a.__class__ is not b.__class__:
+        return False
+    if isinstance(a, (Add, Sub, Mul)):
+        return reference_equal(a.left, b.left) and reference_equal(a.right, b.right)
+    return a == b
+
+
+def reference_substitute(t: Term, mapping: dict) -> Term:
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, (Add, Sub, Mul)):
+        return type(t)(reference_substitute(t.left, mapping), reference_substitute(t.right, mapping))
+    return t
+
+
+def reference_count_var(t: Term, name: str) -> int:
+    if isinstance(t, Var):
+        return 1 if t.name == name else 0
+    if isinstance(t, (Add, Sub, Mul)):
+        return reference_count_var(t.left, name) + reference_count_var(t.right, name)
+    return 0
+
+
+def reference_replaced_once(t: Term, pattern: Term, replacement: Term):
+    """Every term obtained from t by rewriting one occurrence of
+    ``pattern`` to ``replacement``."""
+    if reference_equal(t, pattern):
+        yield replacement
+    if isinstance(t, (Add, Sub, Mul)):
+        for left in reference_replaced_once(t.left, pattern, replacement):
+            yield type(t)(left, t.right)
+        for right in reference_replaced_once(t.right, pattern, replacement):
+            yield type(t)(t.left, right)
+
+
+def reference_ring_normalize(t: Term) -> dict:
+    if isinstance(t, Var):
+        return {((t.name, 1),): 1}
+    if isinstance(t, IntLit):
+        return {(): t.value} if t.value else {}
+    if isinstance(t, Add):
+        return _rp_add(reference_ring_normalize(t.left), reference_ring_normalize(t.right))
+    if isinstance(t, Sub):
+        neg = {m: -c for m, c in reference_ring_normalize(t.right).items()}
+        return _rp_add(reference_ring_normalize(t.left), neg)
+    if isinstance(t, Mul):
+        return _rp_mul(reference_ring_normalize(t.left), reference_ring_normalize(t.right))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
+    position = {name: i for i, name in enumerate(names, 1)}
+    prog: list = []
+    operands: list = []
+
+    def emit(ins) -> int:
+        prog.append(ins)
+        return len(names) + len(prog)
+
+    todo: list = [(t, False)]
+    while todo:
+        node, children_done = todo.pop()
+        if isinstance(node, Var):
+            if node.name not in position:
+                raise UnknownSymbolError(f"unbound variable {node.name!r}")
+            operands.append(position[node.name])
+        elif isinstance(node, IntLit):
+            name = str(node.value)
+            if max_sum is not None and node.value > 1:
+                if node.value > max_sum:
+                    raise CapExceeded(
+                        f"integer literal {node.value} exceeds the limit of {max_sum}"
+                    )
+                unit = acc = emit((base["1"], 0, 0))
+                for _ in range(node.value - 1):
+                    acc = emit((base["+"], acc, unit))
+                operands.append(acc)
+            elif name in base or node.value > 1:
+                operands.append(emit((base.get(name, _NOWHERE), 0, 0)))
+            else:
+                raise UnknownSymbolError(f"no constant {name!r} in the signature")
+        elif children_done:
+            y = operands.pop()
+            x = operands.pop()
+            operands.append(emit((base[_OP_NAMES[type(node)]], x, y)))
+        else:
+            op = _OP_NAMES.get(type(node))
+            if op is None:
+                raise TypeError(f"not a term: {node!r}")
+            if op not in base:
+                raise UnknownSymbolError(f"no operation {op!r} in the signature")
+            todo.append((node, True))
+            todo.append((node.right, False))
+            todo.append((node.left, False))
+    return tuple(prog) if prog else operands[0]
 
 
 # ------------------------------------ reference vertex reconstruction

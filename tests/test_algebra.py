@@ -11,6 +11,7 @@ from boolelab.algebra import (
     FinitePartialAlgebra,
     UNDEFINED,
     UnknownSymbolError,
+    _compile,
     check_embedding,
     eval_term,
     format_algebra,
@@ -29,6 +30,7 @@ from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
 from helpers import (
     random_plus_sentence,
     random_term,
+    reference_compile,
     reference_eval_term,
     reference_holds,
     reference_search_embedding,
@@ -181,6 +183,57 @@ def test_unknown_symbols_raise_in_both_evaluators(text):
         reference_eval_term(intro_algebra(), t, assignment)
     with pytest.raises(UnknownSymbolError):
         eval_term(intro_algebra(), t, assignment)
+
+
+def _compiled(t, names, base, max_sum, compile_):
+    try:
+        return compile_(t, names, base, max_sum)
+    except (UnknownSymbolError, CapExceeded) as exc:
+        return exc
+
+
+def test_compile_matches_the_pre_order_reference():
+    """The fold's programs are tuple-identical to the replaced walk's on
+    the 85 small algebras and on random ones, with and without
+    ``max_sum``.  Terms use every operation and literal, so some symbols
+    are unknown; the fold reports the first unknown symbol in
+    post-order, so where the reference names an operation the fold may
+    name a symbol inside its operands, or a literal over ``max_sum``.
+    A literal over ``max_sum`` that the reference reaches first is the
+    first in post-order too."""
+    rng = random.Random(20261022)
+    algebras = small_algebras() + [_random_algebra(rng) for _ in range(60)]
+    programs = errors = 0
+    for algebra in algebras:
+        base = algebra._layout[1]
+        sums = (None, 3) if {"1", "+"} <= base.keys() else (None,)
+        for max_sum in sums:
+            for _ in range(12):
+                t = _random_symbol_term(rng, ("x", "y", "z"), 4, [Add, Sub, Mul], [0, 1, 2, 3, 4])
+                names = ("x", "y", "z")[: rng.choice((2, 3, 3))]
+                got = _compiled(t, names, base, max_sum, _compile)
+                want = _compiled(t, names, base, max_sum, reference_compile)
+                if isinstance(want, Exception):
+                    errors += 1
+                    if isinstance(want, CapExceeded):
+                        assert isinstance(got, CapExceeded) and str(got) == str(want)
+                    else:
+                        assert isinstance(got, (UnknownSymbolError, CapExceeded)), (t, got)
+                else:
+                    assert type(got) is type(want) and got == want, (algebra, t)
+                    programs += 1
+    assert programs > 300 and errors > 300
+
+
+def test_first_unknown_symbol_in_post_order_is_reported():
+    # neither '+' nor '0': the constant, an operand, is reported before
+    # the sum that holds it (the pre-order walk named '+')
+    algebra = FinitePartialAlgebra(("a",), (("*", 2),), {"*": {}})
+    t = parse("0 + x")
+    with pytest.raises(UnknownSymbolError, match="^no constant '0' in the signature$"):
+        eval_term(algebra, t, {"x": "a"})
+    with pytest.raises(UnknownSymbolError, match="^no operation '[+]' in the signature$"):
+        reference_compile(t, ("x",), algebra._layout[1])
 
 
 def test_deep_term_needs_no_recursion():

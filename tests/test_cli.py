@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
-from boolelab.derivation import _RULES, MAX_TRACE_DEPTH, format_trace
+from boolelab.derivation import (
+    _RULES,
+    SIGMA1,
+    DerivationTrace,
+    TraceStep,
+    check_trace,
+    format_trace,
+    parse_trace,
+)
 from boolelab.errors import CapExceeded
 from boolelab.terms import parse
 from helpers import modules_after, strip_timing
@@ -445,6 +454,77 @@ def test_semantic_check_within_the_variable_cap(capsys):
     assert "semantic: valid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["oracle", "certificate", "semantic", "all"])
+def test_check_counts_variables_before_normalizing(capsys, tmp_path, monkeypatch, mode):
+    # a product of six binomials over twelve variables: every mode is
+    # refused before the first normal form is built
+    import boolelab.polynomial as polynomial
+
+    product = "*".join(f"(a{i} + b{i})" for i in range(6))
+    problem = tmp_path / "p.prob"
+    problem.write_text(f"premiss: {product} = 0\nconclude: a0 = 0\n")
+    calls = []
+    original = polynomial.normalize
+
+    def counting_normalize(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polynomial, "normalize", counting_normalize)
+    assert run(["--max-vars", "4", "check", str(problem), "--mode", mode]) == 3
+    assert capsys.readouterr() == ("", "cap exceeded: 12 variables exceeds the limit of 4\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["oracle", "certificate", "semantic", "all"])
+def test_check_normalizes_under_the_pair_cap(capsys, tmp_path, mode):
+    # four variables, within the cap of 4, but a product step of 5 * 5
+    # monomial pairs, over the 2^4 that the cap allows; the semantic
+    # check builds no normal form
+    problem = tmp_path / "p.prob"
+    problem.write_text("premiss: (a+b+c+d+1)*(a+b+c+d+1) = 0\nconclude: a = a\n")
+    code = run(["--max-vars", "4", "check", str(problem), "--mode", mode])
+    captured = capsys.readouterr()
+    if mode == "semantic":
+        assert code == 0 and "semantic: valid" in captured.out
+    else:
+        assert code == 3
+        assert captured == (
+            "", "cap exceeded: 25 monomial pairs in one product exceeds the limit of 16\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "steps, product, pairs",
+    [
+        # 20 factors of 7 monomials: the free-ring normal form has
+        # C(k+6, 6) monomials after k of them, so the fourth product
+        # step multiplies 84 * 7 pairs
+        (["1: {p} = {p} [RingAxiomInstance]"], "*".join(["(a+b+c+d+e+f+1)"] * 20), 84 * 7),
+        # 10 binomials: 2^k multilinear monomials after k of them
+        (
+            ["1: {p} = {p} [Refl]", "2: {p} = {p} [IntegerSimplification 1]"],
+            "*".join(f"(v{i}+1)" for i in range(10)),
+            2**8 * 2,
+        ),
+    ],
+    ids=["ring", "integer"],
+)
+def test_trace_normal_forms_have_the_pair_cap(capsys, tmp_path, steps, product, pairs):
+    problem = tmp_path / "p.prob"
+    problem.write_text("conclude: x = x\n")
+    trace = tmp_path / "t.trace"
+    trace.write_text("".join(line.format(p=product) + "\n" for line in steps))
+    argv = ["--max-vars", "8", "check", str(problem), "--mode", "oracle", "--trace", str(trace)]
+    assert run(argv) == 3
+    step = len(steps)
+    assert capsys.readouterr() == (
+        "",
+        f"cap exceeded: step {step}: {pairs} monomial pairs in one product"
+        " exceeds the limit of 256\n",
+    )
+
+
 @pytest.mark.parametrize("conclusion", ["x = 0", "x = x"])
 def test_universe_bound_over_cap_exits_three_at_once(capsys, tmp_path, conclusion):
     # one conclusion is invalid at n = 1 and one valid up to the cap;
@@ -719,51 +799,64 @@ def _nested_sum(depth, leaf="x"):
     return "x + (" * (depth - 1) + leaf + ")" * (depth - 1)
 
 
-def _deep_trace_problem(tmp_path, depth, premiss_depth=None):
+def _deep_trace_steps(depth):
+    """(lhs, rhs, rule) texts of a nine-step sigma1 trace that uses every
+    rule on terms of the given depth; its premiss is the deep sum."""
     deep = _nested_sum(depth)
     context = _nested_sum(depth, leaf="HOLE")
     half = _nested_sum(depth - 1)
-    premiss = _nested_sum(premiss_depth or MAX_TRACE_DEPTH)
+    return [
+        (deep, deep, "Refl"),
+        (deep, deep, "Sym 1"),
+        (deep, deep, "Trans 1 2"),
+        (deep, deep, "RingAxiomInstance"),
+        (deep, deep, "IntegerSimplification 4"),
+        ("x", "x", "Refl"),
+        (deep, deep, f"Congruence 6 {context}"),
+        (f"({half})*({half})", half, f"DeltaIdempotence {half}"),
+        (deep, deep, "Premiss"),
+    ]
+
+
+def _deep_trace_problem(tmp_path, depth):
+    deep = _nested_sum(depth)
     problem = tmp_path / "deep.prob"
-    problem.write_text(f"premiss: {premiss} = {premiss}\nconclude: x = x\nmode: sigma1\n")
+    problem.write_text(f"premiss: {deep} = {deep}\nconclude: x = x\nmode: sigma1\n")
     trace = tmp_path / "deep.trace"
     trace.write_text(
-        f"1: {deep} = {deep} [Refl]\n"
-        f"2: {deep} = {deep} [Sym 1]\n"
-        f"3: {deep} = {deep} [Trans 1 2]\n"
-        f"4: {deep} = {deep} [RingAxiomInstance]\n"
-        f"5: {deep} = {deep} [IntegerSimplification 4]\n"
-        "6: x = x [Refl]\n"
-        f"7: {deep} = {deep} [Congruence 6 {context}]\n"
-        f"8: ({half})*({half}) = {half} [DeltaIdempotence {half}]\n"
-        f"9: {premiss} = {premiss} [Premiss]\n"
+        "".join(
+            f"{k}: {lhs} = {rhs} [{rule}]\n"
+            for k, (lhs, rhs, rule) in enumerate(_deep_trace_steps(depth), 1)
+        )
     )
     return ["check", str(problem), "--mode", "oracle", "--trace", str(trace)]
 
 
-def test_trace_at_the_depth_bound_is_checked(capsys, tmp_path):
-    code, out = invoke(capsys, _deep_trace_problem(tmp_path, MAX_TRACE_DEPTH))
+@pytest.mark.parametrize("depth", [100, 1200, 3000])
+def test_deep_trace_is_checked(capsys, tmp_path, depth):
+    # checking a trace walks its terms iteratively, so no depth is refused
+    code, out = invoke(capsys, _deep_trace_problem(tmp_path, depth))
     assert code == 0
     assert "trace (sigma1): accepted" in out
 
 
-@pytest.mark.parametrize("where", ["step", "argument", "premiss"])
-def test_trace_over_the_depth_bound_exits_three(capsys, tmp_path, where):
-    over = MAX_TRACE_DEPTH + 1
-    if where == "premiss":
-        argv = _deep_trace_problem(tmp_path, MAX_TRACE_DEPTH, premiss_depth=over)
-        message = "premiss 1"
-    else:
-        argv, message = _deep_trace_problem(tmp_path, over), "line 1"
-    if where == "argument":
-        context = _nested_sum(over, leaf="HOLE")
-        (tmp_path / "deep.trace").write_text(f"1: x = x [Congruence 1 {context}]\n")
-    assert run(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"cap exceeded: {message}: term depth {over} exceeds the limit of {MAX_TRACE_DEPTH}\n"
+@pytest.mark.parametrize("depth", [1200, 3000])
+def test_deep_trace_is_rejected_at_the_altered_step(depth):
+    texts = _deep_trace_steps(depth)
+    deep = parse(_nested_sum(depth))
+    trace = parse_trace(
+        "".join(f"{k}: {l} = {r} [{rule}]\n" for k, (l, r, rule) in enumerate(texts, 1)),
+        premisses=((deep, deep),),
     )
+    assert check_trace(trace, SIGMA1).accepted
+    for k, (_, rhs, _) in enumerate(texts, 1):
+        # the deepest leaf of step k's right side becomes y
+        head, _, tail = rhs.rpartition("x")
+        step = trace.steps[k - 1]
+        steps = list(trace.steps)
+        steps[k - 1] = TraceStep(step.lhs, parse(f"{head}y{tail}"), step.rule)
+        verdict = check_trace(DerivationTrace(trace.premisses, tuple(steps)), SIGMA1)
+        assert (verdict.accepted, verdict.step) == (False, k)
 
 
 def _bad_rule_tags():
@@ -798,17 +891,6 @@ def test_malformed_trace_steps_name_their_line(capsys, tmp_path, step):
     code, doc = invoke_json(capsys, argv)
     assert code == 2
     assert doc["data"]["error"] == err.removeprefix("error: ").rstrip("\n")
-
-
-def test_very_deep_trace_step_exits_three(capsys, tmp_path):
-    # 1200 deep ended in a RecursionError from term equality
-    problem = tmp_path / "p.prob"
-    problem.write_text("conclude: x = x\n")
-    trace = tmp_path / "t.trace"
-    deep = _nested_sum(1200)
-    trace.write_text(f"1: {deep} = {deep} [Refl]\n")
-    assert run(["check", str(problem), "--trace", str(trace)]) == 3
-    assert "term depth 1200 exceeds the limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -864,4 +946,37 @@ def test_any_term_text_gets_an_exit_code(command, text, as_json, max_vars):
     argv = ["--json"] * as_json + ["--max-vars", str(max_vars), command, "--", text]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
+    assert code in (0, 1, 2, 3)
+
+
+_TRACE_TEMPLATES = [
+    "1: {t} = {u} [Refl]\n",
+    "1: {t} = {u} [RingAxiomInstance]\n2: {u} = {t} [IntegerSimplification 1]\n",
+    "1: x = y [Premiss]\n2: {t} = {u} [Congruence 1 {h}]\n",
+    "1: ({t})*({t}) = {u} [DeltaIdempotence {t}]\n",
+    "1: {t} = {u} [Premiss]\n2: {u} = {t} [Sym 1]\n3: {t} = {t} [Trans 1 2]\n",
+    "1: 2*({t}) = 0 [Premiss]\n2: {t} = 0 [NoNilpotent 1 2]\n",
+]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    template=st.sampled_from(_TRACE_TEMPLATES),
+    t=_nestings(),
+    u=_nestings(),
+    premiss=st.sampled_from(["x = y", "{t} = {u}", "2*({t}) = 0"]),
+    mode=st.sampled_from(["oracle", "certificate", "semantic"]),
+    max_vars=st.integers(min_value=1, max_value=10),
+)
+def test_any_deep_trace_gets_an_exit_code(template, t, u, premiss, mode, max_vars):
+    # no depth cap: every trace is checked, or refused with a message
+    h = t.replace("x", "HOLE", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "p.prob"
+        problem.write_text(f"premiss: {premiss.format(t=t, u=u)}\nconclude: x = x\nmode: sigma1\n")
+        trace = Path(tmp) / "t.trace"
+        trace.write_text(template.format(t=t, u=u, h=h))
+        argv = ["--max-vars", str(max_vars), "check", str(problem), "--mode", mode, "--trace", str(trace)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
     assert code in (0, 1, 2, 3)

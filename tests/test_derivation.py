@@ -5,11 +5,13 @@ import tracemalloc
 
 import pytest
 
+from boolelab.algebra import eval_term, holds
 from boolelab.counterexamples import (
     barbara_conclusion,
     barbara_premisses,
     cx_conclusion,
     cx_trace,
+    intro_algebra,
 )
 from boolelab.derivation import (
     _RULES,
@@ -36,15 +38,22 @@ from boolelab.derivation import (
 )
 from boolelab.errors import CapExceeded
 from boolelab.polynomial import MultilinearPoly, boole_oracle, normalize
-from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse, variables
+from boolelab.horn import identity
+from boolelab.terms import Add, IntLit, Mul, Sub, Var, count_var, parse, substitute, variables
 from helpers import (
     chain,
     chain_arguments,
     dense_argument,
+    leaves,
     random_ground_argument,
+    random_term,
     reference_certify_consequence,
+    reference_equal,
     reference_first_unit_certificate,
+    reference_replaced_once,
+    reference_ring_normalize,
     vertex_walk_certify_consequence,
+    with_leaf,
 )
 
 x, y = Var("x"), Var("y")
@@ -428,3 +437,78 @@ def test_parse_trace_enforces_numbering():
         parse_trace("2: x = x [Refl]\n")
     with pytest.raises(ValueError):
         parse_trace("1: x = x [Refl]\n3: x = x [Refl]\n")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_terms_need_no_recursion(side):
+    # 3000-deep sums, far past the interpreter's default recursion limit
+    def nest(leaf, bottom=None):
+        t = bottom or leaf
+        for _ in range(2999):
+            t = Add(t, leaf) if side == "left" else Add(leaf, t)
+        return t
+
+    t = nest(x)
+    assert t == nest(x) and t != nest(x, bottom=y)
+    assert substitute(t, {"x": y}) == nest(y)
+    assert count_var(t, "x") == 3000
+    assert ring_normalize(t) == {(("x", 1),): 3000}
+    assert normalize(t) == MultilinearPoly((), {frozenset("x"): 3000})
+    assert eval_term(intro_algebra(), t, {"x": "1"}) == "1"
+    assert holds(intro_algebra(), identity(t, x)).holds
+
+
+def _most_pairs(t) -> int:
+    """The most monomial pairs any product step of ring_normalize(t)
+    multiplies."""
+    if not isinstance(t, (Add, Sub, Mul)):
+        return 0
+    here = 0
+    if isinstance(t, Mul):
+        here = len(reference_ring_normalize(t.left)) * len(reference_ring_normalize(t.right))
+    return max(here, _most_pairs(t.left), _most_pairs(t.right))
+
+
+def test_ring_normalize_matches_recursive_reference():
+    # the same monomials in the same insertion order; the pair cap
+    # admits a product step of exactly max_pairs pairs, and no more
+    rng = random.Random(20261020)
+    capped = 0
+    for _ in range(400):
+        t = random_term(rng, ("x", "y", "z"), rng.randint(1, 6))
+        form = ring_normalize(t)
+        assert list(form.items()) == list(reference_ring_normalize(t).items())
+        most = _most_pairs(t)
+        assert ring_normalize(t, max_pairs=most) == form
+        if most:
+            with pytest.raises(CapExceeded, match=f"{most} monomial pairs"):
+                ring_normalize(t, max_pairs=most - 1)
+            capped += 1
+    assert capped > 100
+
+
+def test_delta_idempotence_matches_replaced_once():
+    # the one descent accepts exactly the right sides that the replaced
+    # generator yields: every single rewrite of a square of the target,
+    # placed at up to two random leaves, and none of the near misses
+    rng = random.Random(20261021)
+    names = ("x", "y")
+    accepted = rejected = 0
+    for _ in range(500):
+        target = random_term(rng, names, rng.randint(1, 3))
+        square = Mul(target, target)
+        t = random_term(rng, names, rng.randint(1, 5))
+        lhs = square if rng.random() < 0.1 else t
+        for _ in range(rng.randint(0, 2)):
+            lhs = with_leaf(lhs, rng.randrange(len(leaves(lhs))), square)
+        rewrites = list(reference_replaced_once(lhs, square, target))
+        candidates = [*rewrites, lhs, t, target, random_term(rng, names, 4)]
+        for c in rewrites:
+            candidates.append(with_leaf(c, rng.randrange(len(leaves(c))), Var("z")))
+        for rhs in candidates:
+            expected = any(reference_equal(c, rhs) for c in rewrites)
+            step = TraceStep(lhs, rhs, DeltaIdempotence(target))
+            assert check_trace(DerivationTrace((), (step,)), SIGMA1).accepted is expected
+            accepted += expected
+            rejected += not expected
+    assert accepted > 400 and rejected > 1000

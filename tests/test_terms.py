@@ -12,19 +12,26 @@ from boolelab.terms import (
     Sub,
     Var,
     _tokenize,
-    depth,
+    count_var,
+    fold,
     parse,
     parse_int,
     pretty,
+    substitute,
     variables,
 )
 from boolelab.errors import CapExceeded
 from helpers import (
     exhaustive_terms,
+    leaves,
     random_term,
+    reference_count_var,
+    reference_equal,
     reference_parse,
     reference_pretty,
+    reference_substitute,
     reference_tokenize,
+    with_leaf,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -97,6 +104,11 @@ def test_variables_sorted_unique():
     assert variables(parse("y*x + y - 1")) == ("x", "y")
 
 
+def depth(t):
+    """Nodes on the longest root-to-leaf path, as a fold."""
+    return fold(t, lambda leaf: 1, lambda node, a, b: 1 + max(a, b))
+
+
 def test_depth_counts_leaves_as_one():
     assert depth(x) == 1
     assert depth(parse("x + y")) == 2
@@ -105,6 +117,19 @@ def test_depth_counts_leaves_as_one():
     # iterative: far past the interpreter's recursion limit
     assert depth(parse("x + (" * 2999 + "y" + ")" * 2999)) == 3000
     assert depth(parse("+".join(["x"] * 3000))) == 3000
+
+
+def test_fold_visits_left_before_right_in_post_order():
+    seen = []
+    t = parse("(x - 2)*y + z")
+    assert fold(t, seen.append, lambda n, a, b: seen.append(n.__class__.__name__)) is None
+    assert seen == [x, IntLit(2), "Sub", y, "Mul", z, "Add"]
+    # each node gets its left operand's result first
+    assert fold(t, lambda leaf: leaf, lambda n, a, b: n.__class__(a, b)) == t
+    assert fold(IntLit(7), lambda leaf: leaf.value, None) == 7
+    for bad in (None, 3, "x", Add(x, None)):
+        with pytest.raises(TypeError, match="not a term"):
+            fold(bad, lambda leaf: 0, lambda n, a, b: 0)
 
 
 def test_round_trip_random():
@@ -222,3 +247,33 @@ def test_parse_and_pretty_any_depth():
     with pytest.raises(ParseError) as info:
         parse("(" * 3000 + "x")
     assert info.value.position == 3001
+
+
+def test_term_walks_match_recursive_references():
+    # equality, count_var and substitute against the recursive walks they
+    # replaced, on random terms and HOLE contexts; the terms compared
+    # with each one are an equal copy sharing no node, the same term
+    # with one leaf changed, its left operand, its square and a fresh one
+    rng = random.Random(20261019)
+    names = ("x", "y", "HOLE")
+    unequal = 0
+    for _ in range(600):
+        t = random_term(rng, names, rng.randint(1, 6))
+        others = [
+            parse(pretty(t)),
+            with_leaf(t, rng.randrange(len(leaves(t))), rng.choice((z, IntLit(2)))),
+            getattr(t, "left", x),
+            Mul(t, t),
+            random_term(rng, names, 4),
+        ]
+        for u in others:
+            expected = reference_equal(t, u)
+            assert (t == u) is expected and (u == t) is expected
+            assert (t != u) is not expected
+            unequal += not expected
+        for name in names:
+            assert count_var(t, name) == reference_count_var(t, name)
+        s = random_term(rng, ("x", "y"), 3)
+        for mapping in ({"HOLE": s}, {"x": s, "y": t}, {}):
+            assert reference_equal(substitute(t, mapping), reference_substitute(t, mapping))
+    assert unequal > 1000
