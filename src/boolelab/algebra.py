@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import CapExceeded, Value
+from .errors import CapExceeded, Value, read_lines
 from .horn import HornSentence
 from .terms import Add, Mul, Sub, Term, Var, fold, parse_int, variables
 
@@ -489,41 +489,37 @@ def parse_algebra(text: str) -> FinitePartialAlgebra:
     signature: list[tuple[str, int]] = []
     tables: dict[str, dict] = {}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def read(line: str) -> None:
+        nonlocal carrier, current
         if line.startswith("carrier:"):
             if carrier is not None:
-                raise ValueError(f"line {lineno}: second carrier line")
+                raise ValueError("second carrier line")
             carrier = tuple(line[len("carrier:") :].split())
-            continue
-        if line.startswith("op "):
+        elif line.startswith("op "):
             head = line[3:].rstrip(":")
             name, _, arity = head.partition("/")
             if not name or not arity.isdecimal():
-                raise ValueError(f"line {lineno}: malformed operation header")
-            try:
-                signature.append((name, parse_int(arity)))
-            except CapExceeded as exc:
-                raise CapExceeded(f"line {lineno}: {exc}") from exc
+                raise ValueError("malformed operation header")
+            signature.append((name, parse_int(arity)))
             current = name
             tables[name] = {}
-            continue
-        if "->" in line:
+        elif "->" in line:
             if current is None:
-                raise ValueError(f"line {lineno}: entry before any operation header")
+                raise ValueError("entry before any operation header")
             left, _, value = line.partition("->")
             args = tuple(left.split())
             value = value.strip()
             arity = dict(signature)[current]
             if len(args) != arity or not value:
-                raise ValueError(f"line {lineno}: entry does not match arity {arity}")
+                raise ValueError(f"entry does not match arity {arity}")
             if args in tables[current]:
-                raise ValueError(f"line {lineno}: duplicate entry")
+                raise ValueError("duplicate entry")
             tables[current][args] = value
-            continue
-        raise ValueError(f"line {lineno}: unrecognized line {line!r}")
+        else:
+            raise ValueError(f"unrecognized line {line!r}")
+
+    read_lines(text, read)
     if carrier is None:
         raise ValueError("missing carrier line")
     return FinitePartialAlgebra(carrier, tuple(signature), tables)

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FinitePartialAlgebra, holds
-from .errors import CapExceeded, Value
+from .errors import MAX_UNIVERSE, CapExceeded, Value
 from .horn import horn_sentence
-
-MAX_UNIVERSE = 5
 
 
 def subset_name(mask: int) -> str:

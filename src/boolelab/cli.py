@@ -17,15 +17,12 @@ import os
 import sys
 import time
 
-from .errors import CapExceeded
+from .errors import MAX_MODEL_SIZE, MAX_UNIVERSE, MAX_VARS, CapExceeded
 
 # Each handler imports the modules it calls, so a call loads only what
 # its command runs: ``normalize`` needs terms and polynomial, not the
 # class algebras, the model search or the derivation checker.
 
-DEFAULT_MAX_VARS = 20
-DEFAULT_MAX_UNIVERSE = 5
-DEFAULT_MAX_MODEL_SIZE = 4
 _ECHO_CHARS = 20  # the most characters of a bad numeric value a message repeats
 
 
@@ -71,19 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-vars",
         type=_positive_int,
         default=None,
-        help="variable cap for vertex enumeration (default 20)",
+        help=f"variable cap for vertex enumeration (default {MAX_VARS})",
     )
     parser.add_argument(
         "--max-universe",
         type=_positive_int,
         default=None,
-        help="universe size cap for class algebras (default 5)",
+        help=f"universe size cap for class algebras (default {MAX_UNIVERSE})",
     )
     parser.add_argument(
         "--max-model-size",
         type=_positive_int,
         default=None,
-        help="carrier size cap for model search (default 4)",
+        help=f"carrier size cap for model search (default {MAX_MODEL_SIZE})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,13 +132,13 @@ def _caps(args) -> dict:
     return {
         "max_vars": args.max_vars
         if args.max_vars is not None
-        else _env_int("BOOLELAB_MAX_VARS", DEFAULT_MAX_VARS),
+        else _env_int("BOOLELAB_MAX_VARS", MAX_VARS),
         "max_universe": args.max_universe
         if args.max_universe is not None
-        else _env_int("BOOLELAB_MAX_UNIVERSE", DEFAULT_MAX_UNIVERSE),
+        else _env_int("BOOLELAB_MAX_UNIVERSE", MAX_UNIVERSE),
         "max_model_size": args.max_model_size
         if args.max_model_size is not None
-        else _env_int("BOOLELAB_MAX_MODEL_SIZE", DEFAULT_MAX_MODEL_SIZE),
+        else _env_int("BOOLELAB_MAX_MODEL_SIZE", MAX_MODEL_SIZE),
     }
 
 

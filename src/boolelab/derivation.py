@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceeded, Value
+from .errors import MAX_VARS, CapExceeded, Value, read_lines
 from .polynomial import (
     MultilinearPoly,
     _bit_terms,
     _differences,
+    _fold,
     _Monomials,
     _pair_cap,
     _split,
@@ -147,19 +148,12 @@ def _join(zero: dict, one: dict, bit: int) -> dict:
     variable x of ``bit``: Boole's development, read backwards, of a
     polynomial whose halves at x = 0 and x = 1 are the two given."""
     joined = dict(zero)
-    for k, c in one.items():
-        joined[k | bit] = c
-    for k, c in zero.items():
-        k |= bit
-        c = joined.get(k, 0) - c
-        if c:
-            joined[k] = c
-        else:
-            del joined[k]
+    _fold(joined, {k | bit: c for k, c in one.items()}, 1)
+    _fold(joined, {k | bit: c for k, c in zero.items()}, -1)
     return joined
 
 
-def certify_consequence(premisses, conclusion, max_vars: int = 20) -> Certificate | None:
+def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Certificate | None:
     """Search for a certificate; None exactly when the 0/1-vertex
     oracle rejects the consequence.
 
@@ -197,8 +191,6 @@ def certify_consequence(premisses, conclusion, max_vars: int = 20) -> Certificat
     """
     names, f, diffs = _differences(premisses, conclusion, max_vars)
     live = [j for j, g in enumerate(diffs) if g._coeffs]
-    if f.is_zero or not live:  # settled at the root
-        return None if f._coeffs else Certificate(1, (MultilinearPoly._of(names, {}),) * len(diffs))
     n = 1
     done: list[list] = []  # the cofactors of finished subtrees, in order
     todo: list = [_bit_terms(names, [f, *(diffs[j] for j in live)])]
@@ -346,17 +338,6 @@ class TraceVerdict(Value):
 # normal forms agree, which keeps RingAxiomInstance decidable.
 
 
-def _rp_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, 0) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
 def _rp_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
@@ -388,7 +369,8 @@ def ring_normalize(t: Term, max_pairs: int | None = None) -> dict:
         if n.__class__ is Mul:
             _pair_cap(a, b, max_pairs)
             return _rp_mul(a, b)
-        return _rp_add(a, b if n.__class__ is Add else {m: -c for m, c in b.items()})
+        _fold(a, b, 1 if n.__class__ is Add else -1)
+        return a
 
     return fold(t, leaf, node)
 
@@ -571,28 +553,22 @@ def parse_trace(text: str, premisses=()) -> DerivationTrace:
     """Parse the numbered-step trace format; steps must be numbered
     consecutively from 1.  An error names its line."""
     steps = []
-    try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"line {lineno}"
-            head, _, rest = line.partition(":")
-            if not head.strip().isdecimal():
-                raise ValueError("missing step number")
-            k = parse_int(head.strip())
-            if k != len(steps) + 1:
-                raise ValueError(f"expected step {len(steps) + 1}, got {k}")
-            body, bracket, tail = rest.rpartition("[")
-            if not bracket or not tail.rstrip().endswith("]"):
-                raise ValueError("missing [Rule] tag")
-            rule = _parse_rule(tail.rstrip().removesuffix("]").strip())
-            if body.count("=") != 1:
-                raise ValueError("step needs exactly one '='")
-            lhs_text, _, rhs_text = body.partition("=")
-            steps.append(TraceStep(parse(lhs_text), parse(rhs_text), rule))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-    except CapExceeded as exc:
-        raise CapExceeded(f"{where}: {exc}") from exc
+
+    def read(line: str) -> None:
+        head, _, rest = line.partition(":")
+        if not head.strip().isdecimal():
+            raise ValueError("missing step number")
+        k = parse_int(head.strip())
+        if k != len(steps) + 1:
+            raise ValueError(f"expected step {len(steps) + 1}, got {k}")
+        body, bracket, tail = rest.rpartition("[")
+        if not bracket or not tail.rstrip().endswith("]"):
+            raise ValueError("missing [Rule] tag")
+        rule = _parse_rule(tail.rstrip().removesuffix("]").strip())
+        if body.count("=") != 1:
+            raise ValueError("step needs exactly one '='")
+        lhs_text, _, rhs_text = body.partition("=")
+        steps.append(TraceStep(parse(lhs_text), parse(rhs_text), rule))
+
+    read_lines(text, read)
     return DerivationTrace(tuple(premisses), tuple(steps))

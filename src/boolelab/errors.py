@@ -1,8 +1,9 @@
-"""Errors and the value-class base shared across the package.
+"""Errors, default caps and the helpers shared across the package.
 
-Every command loads this module, so ``Value`` lives here: the base of
-the immutable records that the layers return (verdicts, certificates,
-problems, trace rules).
+Every command loads this module, so what several layers share lives
+here: the default size caps, ``Value`` (the base of the immutable
+records that the layers return: verdicts, certificates, problems,
+trace rules) and ``read_lines``, the line reader of the file formats.
 """
 
 
@@ -12,6 +13,30 @@ class CapExceeded(Exception):
     The caps exist because every search here is exhaustive; callers that
     really want a bigger run can raise the relevant limit explicitly.
     """
+
+
+# The default caps: variables of a consequence check (the monomial
+# pairs of one product step are capped at 2^MAX_VARS), universe size
+# of a class algebra, carrier size of a model search.
+MAX_VARS = 20
+MAX_UNIVERSE = 5
+MAX_MODEL_SIZE = 4
+
+
+def read_lines(text: str, read) -> None:
+    """Call ``read(line)`` on each line of a line-oriented file that
+    holds more than blanks and a '#' comment, with both stripped.  A
+    ValueError or CapExceeded that ``read`` raises is raised again with
+    ``line N: `` in front, N counting from 1."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                read(line)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            except CapExceeded as exc:
+                raise CapExceeded(f"line {lineno}: {exc}") from exc
 
 
 _set = object.__setattr__

@@ -14,7 +14,7 @@ where each equation is ``term = term`` in the term grammar.
 
 from __future__ import annotations
 
-from .errors import CapExceeded, Value
+from .errors import Value, read_lines
 from .terms import Mul, Term, Var, parse, pretty, substitute, variables
 
 
@@ -147,25 +147,20 @@ def relativize(sentence: HornSentence, delta: Delta) -> HornSentence:
 def parse_theory(text: str) -> tuple[HornSentence, ...]:
     """Parse a theory file; blank lines and '#' comments are skipped."""
     sentences = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def read(line: str) -> None:
         if line.count("->") != 1:
-            raise ValueError(f"line {lineno}: expected exactly one '->'")
+            raise ValueError("expected exactly one '->'")
         left, right = line.split("->")
         left = left.strip()
         right = right.strip()
-        try:
-            antecedents = tuple(
-                parse_equation(part) for part in left.split("&") if part.strip()
-            ) if left else ()
-            consequent = FALSUM if right == "false" else parse_equation(right)
-            sentences.append(horn_sentence(antecedents, consequent))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        except CapExceeded as exc:
-            raise CapExceeded(f"line {lineno}: {exc}") from exc
+        antecedents = tuple(
+            parse_equation(part) for part in left.split("&") if part.strip()
+        ) if left else ()
+        consequent = FALSUM if right == "false" else parse_equation(right)
+        sentences.append(horn_sentence(antecedents, consequent))
+
+    read_lines(text, read)
     return tuple(sentences)
 
 

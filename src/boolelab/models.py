@@ -33,11 +33,10 @@ from __future__ import annotations
 import itertools
 
 from .algebra import _OP_NAMES, FinitePartialAlgebra, _compile, _eval, search_embedding
-from .errors import CapExceeded, Value
+from .errors import MAX_MODEL_SIZE, CapExceeded, Value
 from .horn import FALSUM, HornSentence, horn_sentence, identity
 from .terms import Add, IntLit, Mul, Sub, Term, Var
 
-MAX_MODEL_SIZE = 4
 MAX_LITERAL = 4096
 """Largest integer literal a theory may use.  A literal n is evaluated
 as n - 1 additions of the unit, one table read each, so the cap bounds

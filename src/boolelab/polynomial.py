@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import sub
 from types import MappingProxyType
 
-from .errors import CapExceeded, Value
+from .errors import MAX_VARS, CapExceeded, Value
 from .terms import Add, Mul, Term, Var, fold
 
 Monomial = frozenset
@@ -33,6 +33,11 @@ class MultilinearPoly:
     remembers every variable of the source term, even cancelled ones);
     equality and hashing look at the coefficients only, which matches
     equality modulo the idempotence ideal.
+
+    The constructor is the check on outside input: it freezes the
+    monomials, drops zero coefficients and widens ``vars`` to cover
+    every monomial.  The operators and ``normalize`` build their
+    results with ``_of``, from parts that already hold those rules.
     """
 
     __slots__ = ("vars", "_coeffs")
@@ -62,6 +67,9 @@ class MultilinearPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("MultilinearPoly is immutable")
+
     def __reduce__(self):
         return MultilinearPoly, (self.vars, self._coeffs)
 
@@ -81,9 +89,6 @@ class MultilinearPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def with_vars(self, extra) -> "MultilinearPoly":
-        return MultilinearPoly(set(self.vars) | set(extra), self._coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, MultilinearPoly):
             return NotImplemented
@@ -92,47 +97,40 @@ class MultilinearPoly:
     def __hash__(self):
         return hash(frozenset(self._coeffs.items()))
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, for a polynomial or an int other."""
         if isinstance(other, int):
             other = MultilinearPoly.const(other)
-        if not isinstance(other, MultilinearPoly):
+        elif not isinstance(other, MultilinearPoly):
             return NotImplemented
         coeffs = dict(self._coeffs)
-        for mono, c in other._coeffs.items():
-            coeffs[mono] = coeffs.get(mono, 0) + c
-        return MultilinearPoly(set(self.vars) | set(other.vars), coeffs)
+        _fold(coeffs, other._coeffs, sign)
+        return MultilinearPoly._of(tuple(sorted({*self.vars, *other.vars})), coeffs)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    def __add__(self, other):
+        return self._plus(other, 1)
 
-    def __neg__(self):
-        return MultilinearPoly(self.vars, {m: -c for m, c in self._coeffs.items()})
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MultilinearPoly.const(other)
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return MultilinearPoly._of(self.vars, {m: -c for m, c in self._coeffs.items()})
+
     def __mul__(self, other):
         if isinstance(other, int):
-            coeffs = {m: c * other for m, c in self._coeffs.items()}
-            return MultilinearPoly(self.vars, coeffs)
+            coeffs = {m: c * other for m, c in self._coeffs.items()} if other else {}
+            return MultilinearPoly._of(self.vars, coeffs)
         if not isinstance(other, MultilinearPoly):
             return NotImplemented
-        coeffs: dict[frozenset, int] = {}
-        for m1, c1 in self._coeffs.items():
-            for m2, c2 in other._coeffs.items():
-                mono = m1 | m2  # union = idempotent exponent collapse
-                coeffs[mono] = coeffs.get(mono, 0) + c1 * c2
-        return MultilinearPoly(set(self.vars) | set(other.vars), coeffs)
+        coeffs = _product(self._coeffs, other._coeffs)
+        return MultilinearPoly._of(tuple(sorted({*self.vars, *other.vars})), coeffs)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def evaluate(self, assignment) -> int:
         """Value under an integer assignment covering every monomial."""
@@ -186,7 +184,9 @@ class MultilinearPoly:
 
 def _fold(left: dict, right: dict, sign: int) -> None:
     """Add sign * right into left in place, dropping the monomials that
-    cancel; neither dict holds a zero coefficient."""
+    cancel; neither dict holds a zero coefficient.  The one signed sum
+    of coefficient dicts, whatever their monomials are: name sets here,
+    vertex masks in the split tree, exponent tuples in the free ring."""
     for mono, c in right.items():
         c = left.get(mono, 0) + sign * c
         if c:
@@ -201,6 +201,20 @@ def _pair_cap(left: dict, right: dict, max_pairs: int | None) -> None:
     pairs = len(left) * len(right)
     if max_pairs is not None and pairs > max_pairs:
         raise CapExceeded(f"{pairs} monomial pairs in one product exceeds the limit of {max_pairs}")
+
+
+def _product(left: dict, right: dict, max_pairs: int | None = None) -> dict:
+    """The product of two {monomial: coefficient} dicts with no zero
+    coefficient, in a new dict without one; a monomial is a set of
+    names, so a product of monomials is their union (the idempotent
+    exponent collapse).  Capped as in ``_pair_cap``."""
+    _pair_cap(left, right, max_pairs)
+    product: dict[frozenset, int] = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            mono = m1 | m2
+            product[mono] = product.get(mono, 0) + c1 * c2
+    return {m: c for m, c in product.items() if c}
 
 
 def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
@@ -237,18 +251,13 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
         return {frozenset(): x.value} if x.value else {}
 
     def node(n, left: dict, right: dict) -> dict:
-        if n.__class__ is not Mul:
-            _fold(left, right, 1 if n.__class__ is Add else -1)
-            return left
-        _pair_cap(left, right, max_pairs)
-        product: dict[frozenset, int] = {}
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                mono = m1 | m2  # union = idempotent exponent collapse
-                product[mono] = product.get(mono, 0) + c1 * c2
-        return {m: c for m, c in product.items() if c}
+        if n.__class__ is Mul:
+            return _product(left, right, max_pairs)
+        _fold(left, right, 1 if n.__class__ is Add else -1)
+        return left
 
-    form = MultilinearPoly(names, fold(term, leaf, node))
+    coeffs = fold(term, leaf, node)  # before sorting names: the fold fills them
+    form = MultilinearPoly._of(tuple(sorted(names)), coeffs)
     object.__setattr__(term, "_form", form)  # nodes refuse plain assignment
     return form
 
@@ -336,19 +345,14 @@ def _split(polys: list[dict]) -> tuple[int, list[dict], list[dict]]:
     zeros, ones = [], []
     for p in polys:
         zero = {}
-        high = []
+        high = {}
         for k, c in p.items():
             if k & bit:
-                high.append((k ^ bit, c))
+                high[k ^ bit] = c
             else:
                 zero[k] = c
         one = zero.copy() if high else zero
-        for k, c in high:
-            c += one.get(k, 0)
-            if c:
-                one[k] = c
-            else:
-                del one[k]
+        _fold(one, high, 1)
         zeros.append(zero)
         ones.append(one)
     return bit, zeros, ones
@@ -477,11 +481,7 @@ def equation_difference(eq: tuple[Term, Term], max_pairs: int | None = None) -> 
     equal to ``normalize(Sub(lhs, rhs))`` down to its vars and the order
     of its coefficients."""
     lhs, rhs = eq
-    left, right = normalize(lhs, max_pairs), normalize(rhs, max_pairs)
-    coeffs = dict(left._coeffs)
-    _fold(coeffs, right._coeffs, -1)
-    # a normal form's vars cover its monomials, and _fold drops zeros
-    return MultilinearPoly._of(tuple(sorted({*left.vars, *right.vars})), coeffs)
+    return normalize(lhs, max_pairs) - normalize(rhs, max_pairs)
 
 
 def check_var_cap(names, max_vars: int) -> None:
@@ -547,7 +547,7 @@ def _least_witness(polys: list[dict]) -> int | None:
     return None
 
 
-def boole_oracle(premisses, conclusion, max_vars: int = 20) -> OracleVerdict:
+def boole_oracle(premisses, conclusion, max_vars: int = MAX_VARS) -> OracleVerdict:
     """Decide ground consequence by the rule of 0 and 1.
 
     The conclusion follows when its difference polynomial vanishes at
@@ -555,8 +555,8 @@ def boole_oracle(premisses, conclusion, max_vars: int = 20) -> OracleVerdict:
     searched by splitting one variable at a time (``_least_witness``),
     so a chain of m inclusions whose names sort in chain order takes
     O(m) splits, not 2^m vertices; the witness is the lexicographically
-    least failing vertex.  The number m of variables is capped (default
-    20).
+    least failing vertex.  The number m of variables is capped at
+    ``max_vars``.
     """
     names, f, gs = _differences(premisses, conclusion, max_vars)
     index = _least_witness(_bit_terms(names, [f, *gs]))

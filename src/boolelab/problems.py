@@ -17,7 +17,7 @@ variables are always listed in sorted order.
 from __future__ import annotations
 
 from .derivation import HAILPERIN, MODES
-from .errors import CapExceeded, Value
+from .errors import Value, read_lines
 from .horn import Equation, parse_equation
 from .terms import parse_int
 
@@ -34,38 +34,34 @@ def parse_problem(text: str) -> Problem:
     conclusion = None
     mode = HAILPERIN
     max_n = 3
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def read(line: str) -> None:
+        nonlocal conclusion, mode, max_n
         key, sep, value = line.partition(":")
         if not sep:
-            raise ValueError(f"line {lineno}: expected 'key: value'")
+            raise ValueError("expected 'key: value'")
         key = key.strip()
         value = value.strip()
-        try:
-            if key == "premiss":
-                premisses.append(parse_equation(value))
-            elif key == "conclude":
-                if conclusion is not None:
-                    raise ValueError("second conclude line")
-                conclusion = parse_equation(value)
-            elif key == "vars":
-                pass
-            elif key == "mode":
-                if value not in MODES:
-                    raise ValueError(f"mode must be one of {MODES}")
-                mode = value
-            elif key == "max_n":
-                max_n = parse_int(value)
-                if max_n < 1:
-                    raise ValueError("max_n must be at least 1")
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        except CapExceeded as exc:
-            raise CapExceeded(f"line {lineno}: {exc}") from exc
+        if key == "premiss":
+            premisses.append(parse_equation(value))
+        elif key == "conclude":
+            if conclusion is not None:
+                raise ValueError("second conclude line")
+            conclusion = parse_equation(value)
+        elif key == "vars":
+            pass
+        elif key == "mode":
+            if value not in MODES:
+                raise ValueError(f"mode must be one of {MODES}")
+            mode = value
+        elif key == "max_n":
+            max_n = parse_int(value)
+            if max_n < 1:
+                raise ValueError("max_n must be at least 1")
+        else:
+            raise ValueError(f"unknown key {key!r}")
+
+    read_lines(text, read)
     if conclusion is None:
         raise ValueError("missing conclude line")
     return Problem(tuple(premisses), conclusion, mode, max_n)

@@ -12,9 +12,9 @@ oracle and vertex reconstruction, which compute with
 the package's vertex-index helpers, the reference normalizer, which
 computes with ``MultilinearPoly``'s operators, the replaced
 assignment loop of ``holds``, which runs the package's compiled
-programs, the recursive free-ring normalizer, which multiplies and adds
-with ``derivation``'s ``_rp_mul`` and ``_rp_add``, and the replaced
-compiler, which reads ``algebra``'s operation names; their loops are
+programs, the recursive free-ring normalizer, which multiplies with
+``derivation``'s ``_rp_mul`` and adds with its own ``_rp_add``, and the
+replaced compiler, which reads ``algebra``'s operation names; their loops are
 independent.
 """
 
@@ -38,7 +38,7 @@ from boolelab.algebra import (
     _eval,
 )
 from boolelab.classes import build_pu
-from boolelab.derivation import Certificate, _bezout, _rp_add, _rp_mul
+from boolelab.derivation import Certificate, _bezout, _rp_mul
 from boolelab.errors import CapExceeded
 from boolelab.horn import FALSUM, HornSentence
 from boolelab.models import signature_of
@@ -576,8 +576,13 @@ def _ref_normalize(t: Term) -> MultilinearPoly:
     raise TypeError(f"not a term: {t!r}")
 
 
+def with_vars(p: MultilinearPoly, extra) -> MultilinearPoly:
+    """p with ``extra`` added to its vars."""
+    return MultilinearPoly(set(p.vars) | set(extra), p.coeffs)
+
+
 def reference_normalize(t: Term) -> MultilinearPoly:
-    return _ref_normalize(t).with_vars(variables(t))
+    return with_vars(_ref_normalize(t), variables(t))
 
 
 # -------------------------------------------------- reference term walks
@@ -626,6 +631,19 @@ def reference_replaced_once(t: Term, pattern: Term, replacement: Term):
             yield type(t)(left, t.right)
         for right in reference_replaced_once(t.right, pattern, replacement):
             yield type(t)(t.left, right)
+
+
+def _rp_add(p: dict, q: dict) -> dict:
+    """The sum of two free-ring normal forms, by a copy of the loop that
+    ``ring_normalize`` ran before its sums shared ``polynomial._fold``."""
+    out = dict(p)
+    for mono, c in q.items():
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
 
 
 def reference_ring_normalize(t: Term) -> dict:
@@ -743,7 +761,7 @@ def reference_unexpand(e: ConstituentExpansion) -> MultilinearPoly:
         c = e.coeff_at[v]
         if c:
             p = p + c * _ref_constituent(e.vars, v)
-    return p.with_vars(e.vars)
+    return with_vars(p, e.vars)
 
 
 def reference_certify_consequence(premisses, conclusion, max_vars: int = 20):

@@ -38,7 +38,7 @@ from boolelab.derivation import (
 )
 from boolelab.errors import CapExceeded
 from boolelab.polynomial import MultilinearPoly, boole_oracle, normalize
-from boolelab.horn import identity
+from boolelab.horn import identity, parse_equation
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, count_var, parse, substitute, variables
 from helpers import (
     chain,
@@ -110,6 +110,33 @@ def test_torsion_multiplier():
 def test_invalid_instances_get_no_certificate():
     assert certify_consequence(((x, ZERO),), (y, ZERO)) is None
     assert certify_consequence((), (x, ZERO)) is None
+
+
+@pytest.mark.parametrize(
+    "premisses, conclusion, names",
+    [
+        (("x = y",), "x - x = 0", ("x", "y")),
+        (("x = x", "x*y = y"), "x*x = x", ("x", "y")),
+        (("x = x", "y - y = 0"), "x*x = x", ("x", "y")),
+        (("x = x", "y - y = 0"), "x = 0", None),
+        (("x = x", "y - y = 0"), "1 = 0", None),
+        (("y*y = y",), "x + x = 0", None),
+    ],
+)
+def test_certify_settled_at_the_root(premisses, conclusion, names):
+    # a zero conclusion difference, or every premiss difference zero:
+    # a certificate with n = 1 and zero cofactors over the pooled
+    # variables, or None when the conclusion difference is not zero
+    premisses = tuple(parse_equation(e) for e in premisses)
+    conclusion = parse_equation(conclusion)
+    cert = certify_consequence(premisses, conclusion)
+    if names is None:
+        assert cert is None
+        return
+    assert cert == Certificate(1, (nf("0"),) * len(premisses))
+    assert [c.vars for c in cert.cofactors] == [names] * len(premisses)
+    assert cert.to_json_dict() == {"n": 1, "cofactors": [[]] * len(premisses)}
+    assert verify_certificate(premisses, conclusion, cert).verified
 
 
 def test_certificate_requires_positive_multiplier():

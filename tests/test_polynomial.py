@@ -175,6 +175,65 @@ def test_constructor_keeps_variables_of_zero_monomials():
     assert dict(p.coeffs) == {frozenset(("b", "c")): 2}
 
 
+def _naive(vars, items) -> MultilinearPoly:
+    """The public constructor on the dict that plain accumulation of
+    (monomial, coefficient) pairs builds, zeros and all."""
+    coeffs = {}
+    for mono, c in items:
+        coeffs[mono] = coeffs.get(mono, 0) + c
+    return MultilinearPoly(vars, coeffs)
+
+
+def _naive_sum(p, q, sign=1) -> MultilinearPoly:
+    items = [*p.coeffs.items(), *((m, sign * c) for m, c in q.coeffs.items())]
+    return _naive({*p.vars, *q.vars}, items)
+
+
+def _random_poly(rng, names) -> MultilinearPoly:
+    coeffs = {}
+    for _ in range(rng.randint(0, 6)):
+        coeffs[frozenset(rng.sample(names, rng.randint(0, len(names))))] = rng.randint(-2, 2)
+    return MultilinearPoly(rng.sample(names, rng.randint(0, 2)), coeffs)
+
+
+def assert_same_poly(got, want):
+    assert got.vars == want.vars
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert 0 not in got.coeffs.values()
+
+
+def test_operators_match_the_constructor_on_naive_dicts():
+    rng = random.Random(1616)
+    names = ("a", "b", "c", "d")
+    cancelled = 0
+    for _ in range(400):
+        p, q, r = (_random_poly(rng, names) for _ in range(3))
+        if rng.random() < 0.4:  # q cancels some or all of p
+            kept = [(m, -c) for m, c in p.coeffs.items() if rng.random() < 0.7]
+            q = _naive(q.vars, [*q.coeffs.items(), *kept] if rng.random() < 0.5 else kept)
+        k = rng.randint(-3, 3)
+        const = MultilinearPoly.const(k)
+        negated = [(m, -c) for m, c in p.coeffs.items()]
+        product = [(m1 | m2, c1 * c2) for m1, c1 in p.coeffs.items() for m2, c2 in q.coeffs.items()]
+        cases = [
+            (p + q, _naive_sum(p, q)),
+            (p - q, _naive_sum(p, q, -1)),
+            (p - p, _naive(p.vars, ())),
+            (p + (-p), _naive(p.vars, ())),
+            (p * q, _naive({*p.vars, *q.vars}, product)),
+            (-p, _naive(p.vars, negated)),
+            (k * p, _naive(p.vars, ((m, k * c) for m, c in p.coeffs.items()))),
+            (p * 0, _naive(p.vars, ())),
+            (p + k, _naive_sum(p, const)),
+            (k - p, _naive(p.vars, [*negated, *const.coeffs.items()])),
+            (sum([p, q, r]), _naive_sum(_naive_sum(_naive_sum(MultilinearPoly(), p), q), r)),
+        ]
+        for got, want in cases:
+            assert_same_poly(got, want)
+        cancelled += (p + q).is_zero and not p.is_zero
+    assert cancelled > 10
+
+
 def test_normalize_is_a_homomorphism():
     rng = random.Random(13)
     for _ in range(200):
@@ -422,6 +481,11 @@ def test_poly_is_immutable():
     p = nf("x")
     with pytest.raises(AttributeError):
         p.vars = ("y",)
+    with pytest.raises(AttributeError):
+        del p.vars
+    with pytest.raises(AttributeError):
+        del p._coeffs
+    assert p.vars == ("x",) and dict(p.coeffs) == {frozenset(("x",)): 1}
 
 
 def test_ordered_monomials_degree_lex():
