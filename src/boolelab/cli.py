@@ -25,6 +25,14 @@ from .errors import MAX_MODEL_SIZE, MAX_UNIVERSE, MAX_VARS, CapExceeded
 
 _ECHO_CHARS = 20  # the most characters of a bad numeric value a message repeats
 
+# The caps, each as (key, default, help): the key names the handlers'
+# cap, the flag --max-... and the environment variable BOOLELAB_MAX_...
+_CAPS = (
+    ("max_vars", MAX_VARS, "variable cap for vertex enumeration"),
+    ("max_universe", MAX_UNIVERSE, "universe size cap for class algebras"),
+    ("max_model_size", MAX_MODEL_SIZE, "carrier size cap for model search"),
+)
+
 
 def _witness_str(witness: dict | None) -> str:
     if witness is None:
@@ -64,24 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boole's partial algebra of classes, with receipts.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--max-vars",
-        type=_positive_int,
-        default=None,
-        help=f"variable cap for vertex enumeration (default {MAX_VARS})",
-    )
-    parser.add_argument(
-        "--max-universe",
-        type=_positive_int,
-        default=None,
-        help=f"universe size cap for class algebras (default {MAX_UNIVERSE})",
-    )
-    parser.add_argument(
-        "--max-model-size",
-        type=_positive_int,
-        default=None,
-        help=f"carrier size cap for model search (default {MAX_MODEL_SIZE})",
-    )
+    for key, default, text in _CAPS:
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, type=_positive_int, default=None, help=f"{text} (default {default})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="multilinear normal form of a term")
@@ -129,17 +122,13 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _caps(args) -> dict:
-    return {
-        "max_vars": args.max_vars
-        if args.max_vars is not None
-        else _env_int("BOOLELAB_MAX_VARS", MAX_VARS),
-        "max_universe": args.max_universe
-        if args.max_universe is not None
-        else _env_int("BOOLELAB_MAX_UNIVERSE", MAX_UNIVERSE),
-        "max_model_size": args.max_model_size
-        if args.max_model_size is not None
-        else _env_int("BOOLELAB_MAX_MODEL_SIZE", MAX_MODEL_SIZE),
-    }
+    """Each cap from its flag, else from its environment variable, else
+    its default."""
+    caps = {}
+    for key, default, _ in _CAPS:
+        value = getattr(args, key)
+        caps[key] = value if value is not None else _env_int(f"BOOLELAB_{key.upper()}", default)
+    return caps
 
 
 def _digit_limit() -> int:
@@ -249,14 +238,9 @@ def _cmd_check(args, caps):
     want = (
         ("oracle", "certificate", "semantic") if args.mode == "all" else (args.mode,)
     )
-    # every mode may take 2^m steps: count first, then normalize capped
+    # every mode may take 2^m steps: count before any normal form
     equations = [*problem.premisses, problem.conclusion]
     check_var_cap(set().union(*map(equation_variables, equations)), caps["max_vars"])
-    if "oracle" in want or "certificate" in want:
-        for eq in equations:
-            for side in eq:
-                _normalize_capped(side, caps["max_vars"])
-    oracle = None
     if "oracle" in want:
         oracle = boole_oracle(
             problem.premisses, problem.conclusion, max_vars=caps["max_vars"]

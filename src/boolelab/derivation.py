@@ -155,7 +155,7 @@ def _join(zero: dict, one: dict, bit: int) -> dict:
 
 def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Certificate | None:
     """Search for a certificate; None exactly when the 0/1-vertex
-    oracle rejects the consequence.
+    oracle rejects the consequence.  Capped as ``boole_oracle`` is.
 
     The search runs on the oracle's split tree (``_least_witness``):
     each node restricts the conclusion difference f and the premiss

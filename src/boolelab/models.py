@@ -171,28 +171,35 @@ def enumerate_total_models(sentences, size: int, base_signature=()):
             tables[op][args] = names[v]
         return FinitePartialAlgebra(names, signature, tables)
 
-    def fill(i: int):
+    # depth first over the slots with no recursion, so any number of
+    # cells is fine: cells[i] is the value slot i tries now (None before
+    # the first), and moved[i] the waiting lists that value appended to
+    moved: list[list] = [[] for _ in slots]
+    i = 0
+    while i >= 0:
         if i == len(slots):
             yield snapshot()
-            return
-        here = waiting[i]
-        for value in range(size):
-            cells[i] = value
-            moved = []
-            for inst in here:
-                d = _decide(inst, cells, size)
-                if d >= 0:
-                    waiting[d].append(inst)
-                    moved.append(d)
-                elif d == _VIOLATED:
-                    break
-            else:
-                yield from fill(i + 1)
-            for c in reversed(moved):
-                waiting[c].pop()
-        cells[i] = None
-
-    yield from fill(0)
+            i -= 1
+            continue
+        undo = moved[i]
+        for c in reversed(undo):
+            waiting[c].pop()
+        undo.clear()
+        value = 0 if cells[i] is None else cells[i] + 1
+        if value == size:
+            cells[i] = None
+            i -= 1
+            continue
+        cells[i] = value
+        for inst in waiting[i]:
+            d = _decide(inst, cells, size)
+            if d >= 0:
+                waiting[d].append(inst)
+                undo.append(d)
+            elif d == _VIOLATED:
+                break
+        else:
+            i += 1
 
 
 def search_total_model(sentences, size: int, max_size: int = MAX_MODEL_SIZE):

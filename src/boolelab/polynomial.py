@@ -233,16 +233,17 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
     multiply more monomial pairs than that raises CapExceeded before it
     starts.
 
-    The result is kept on the term node, so later calls on the same node
-    return the same (immutable) object without a walk.  A call with
-    ``max_pairs`` walks anyway, so its cap is always checked.
+    The result is kept on the term node together with the pairs of its
+    largest product step.  A later call on the same node whose cap
+    allows that step returns the same (immutable) object without a
+    walk; one with a smaller cap walks, and so raises at the first step
+    over it.
     """
-    if max_pairs is None:
-        try:
-            return term._form
-        except AttributeError:
-            pass
+    kept = getattr(term, "_form", None)  # (form, pairs of its largest product step)
+    if kept is not None and (max_pairs is None or kept[1] <= max_pairs):
+        return kept[0]
     names: set[str] = set()
+    widest = 0
 
     def leaf(x) -> dict:
         if x.__class__ is Var:
@@ -251,14 +252,16 @@ def normalize(term: Term, max_pairs: int | None = None) -> MultilinearPoly:
         return {frozenset(): x.value} if x.value else {}
 
     def node(n, left: dict, right: dict) -> dict:
+        nonlocal widest
         if n.__class__ is Mul:
+            widest = max(widest, len(left) * len(right))
             return _product(left, right, max_pairs)
         _fold(left, right, 1 if n.__class__ is Add else -1)
         return left
 
     coeffs = fold(term, leaf, node)  # before sorting names: the fold fills them
     form = MultilinearPoly._of(tuple(sorted(names)), coeffs)
-    object.__setattr__(term, "_form", form)  # nodes refuse plain assignment
+    object.__setattr__(term, "_form", (form, widest))  # nodes refuse plain assignment
     return form
 
 
@@ -493,10 +496,13 @@ def check_var_cap(names, max_vars: int) -> None:
 
 def _differences(premisses, conclusion, max_vars: int):
     """(names, f, gs): the pooled variables in sorted order, the
-    conclusion difference and the premiss differences.  Raises
-    CapExceeded when more than max_vars variables occur."""
-    gs = [equation_difference(eq) for eq in premisses]
-    f = equation_difference(conclusion)
+    conclusion difference and the premiss differences, each side
+    normalized with no product step over 2^max_vars monomial pairs.
+    Raises CapExceeded at such a step, or when more than max_vars
+    variables occur."""
+    max_pairs = 1 << max_vars
+    gs = [equation_difference(eq, max_pairs) for eq in premisses]
+    f = equation_difference(conclusion, max_pairs)
     names = tuple(sorted(set(f.vars).union(*(g.vars for g in gs))))
     check_var_cap(names, max_vars)
     return names, f, gs
@@ -556,7 +562,8 @@ def boole_oracle(premisses, conclusion, max_vars: int = MAX_VARS) -> OracleVerdi
     so a chain of m inclusions whose names sort in chain order takes
     O(m) splits, not 2^m vertices; the witness is the lexicographically
     least failing vertex.  The number m of variables is capped at
-    ``max_vars``.
+    ``max_vars``, and each product step of the normal forms at
+    2^max_vars monomial pairs.
     """
     names, f, gs = _differences(premisses, conclusion, max_vars)
     index = _least_witness(_bit_terms(names, [f, *gs]))

@@ -36,9 +36,11 @@ class Term:
     and deletion.
 
     The one slot here, ``_form``, is not a field: ``polynomial.normalize``
-    keeps a node's normal form in it, so a term is normalized once while
-    it lives.  Equality, hashing, printing and pickling ignore it, and a
-    copied or unpickled node starts without one.
+    keeps a node's normal form in it, with the monomial pairs of its
+    largest product step, so a term is normalized once while it lives
+    for every cap that allows that step.  Equality, hashing, printing
+    and pickling ignore it, and a copied or unpickled node starts
+    without one.
     """
 
     __slots__ = ("_form",)
@@ -129,13 +131,45 @@ class _Binary(Term):
         return True
 
     def __hash__(self):
-        return hash((self.left, self.right))
+        # hash((left, right)), carried up one fold, so any depth is fine
+        return fold(self, lambda x: _HashOf(hash(x)), lambda n, a, b: _HashOf(hash((a, b)))).value
 
     def __repr__(self):
-        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
+        # pending pieces wait on an explicit stack, so any depth is fine:
+        # a piece of text as itself, an operand wrapped in a 1-tuple
+        out: list[str] = []
+        todo: list = [(self,)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            n = item[0]
+            if isinstance(n, _Binary):
+                out.append(f"{n.__class__.__qualname__}(left=")
+                todo += (")", (n.right,), ", right=", (n.left,))
+            else:
+                out.append(repr(n))
+        return "".join(out)
 
     def __reduce__(self):
         return self.__class__, (self.left, self.right)
+
+
+class _HashOf:
+    """Stands in for a term in a tuple whose hash is taken: its hash is
+    the term's, worked out before.  ``hash((a, b))`` of two stand-ins
+    is then ``hash((l, r))`` of their terms, with no recursion; passing
+    the bare ints instead would not be, since an int above 2^61 - 1
+    hashes to another value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 class Add(_Binary):

@@ -255,6 +255,18 @@ def test_certify_cap_matches_reference():
     assert certify_consequence(premisses, conclusion, max_vars=6) is not None
 
 
+@pytest.mark.parametrize("decide", [boole_oracle, certify_consequence])
+def test_library_consequence_normalizes_under_the_pair_cap(decide):
+    # four variables, within the cap of 4, but a product step of 5 * 5
+    # monomial pairs, over the 2^4 that the cap allows: the library
+    # bounds its own normal forms, as the CLI does
+    product = parse("(a+b+c+d+1)*(a+b+c+d+1)")
+    premisses, conclusion = [(product, parse("0"))], (parse("a"), parse("a"))
+    with pytest.raises(CapExceeded, match="^25 monomial pairs in one product exceeds the limit of 16$"):
+        decide(premisses, conclusion, max_vars=4)
+    assert decide(premisses, conclusion, max_vars=5)
+
+
 def test_first_vertex_witness_walks_lazily():
     # v0 + ... + v19 = 1 fails at the all-zero vertex, the first one
     # visited, so neither the oracle nor certify should build the grid

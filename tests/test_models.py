@@ -125,6 +125,18 @@ def test_sugar_in_theories_is_searchable():
     assert model.is_total()
 
 
+def test_search_fills_any_number_of_cells():
+    # one slot per table cell with no recursion: 1600 cells at size 40,
+    # and two commuting operations of 529 cells each at size 23
+    model = search_total_model((COMMUTATIVE,), 40, max_size=40)
+    assert set(model.tables["+"].values()) == {"e0"}
+    both = (COMMUTATIVE, identity(parse("x * y"), parse("y * x")))
+    model = search_total_model(both, 23, max_size=23)
+    assert all(holds_total(model, law).holds for law in both)
+    # a theory with no operation symbols has the one empty table
+    assert len(list(enumerate_total_models((identity(x, x),), 3))) == 1
+
+
 def test_size_cap():
     with pytest.raises(CapExceeded):
         search_total_model((COMMUTATIVE,), 5)

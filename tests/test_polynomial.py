@@ -130,8 +130,10 @@ def test_normalize_monomial_cap():
     with pytest.raises(CapExceeded, match="16 monomial pairs in one product exceeds the limit of 15"):
         normalize(term, max_pairs=15)
     assert normalize(term) == normalize(term, max_pairs=16)
-    # the form the uncapped call kept does not get past a later cap
-    assert normalize(term) is normalize(term)
+    # the kept form serves every cap that allows its largest step, and
+    # does not get past a smaller one
+    kept = normalize(term)
+    assert normalize(term) is kept and normalize(term, max_pairs=16) is kept
     with pytest.raises(CapExceeded, match="4 monomial pairs in one product exceeds the limit of 1"):
         normalize(term, max_pairs=1)
 

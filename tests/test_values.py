@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import pickle
 import random
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -74,6 +75,35 @@ def test_terms_agree_with_the_reference_dataclasses():
         for u, s in zip(terms, refs):
             assert (t == u) == (r == s)
             assert (t != u) == (r != s)
+
+
+def sum_of_x(depth, side):
+    """x + x + ... + x with ``depth`` additions, nested to the given side."""
+    t = Var("x")
+    for _ in range(depth):
+        t = Add(t, Var("x")) if side == "left" else Add(Var("x"), t)
+    return t
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_terms_print_and_hash(side):
+    # at depth 400 the recursive reference dataclasses still print and
+    # hash, given room (their repr takes two frames a level); 3000 is
+    # far past the interpreter's recursion limit
+    t, ref = sum_of_x(400, side), reference_term(sum_of_x(400, side))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    try:
+        assert repr(t) == repr(ref) and hash(t) == hash(ref)
+    finally:
+        sys.setrecursionlimit(limit)
+    t = sum_of_x(3000, side)
+    if side == "left":
+        text = "Add(left=" * 3000 + "Var(name='x')" + ", right=Var(name='x'))" * 3000
+    else:
+        text = "Add(left=Var(name='x'), right=" * 3000 + "Var(name='x')" + ")" * 3000
+    assert repr(t) == text
+    assert hash(t) == hash((t.left, t.right)) == hash(sum_of_x(3000, side))
 
 
 def rebuilt(t):
