@@ -40,6 +40,18 @@ def _witness_str(witness: dict | None) -> str:
     return ", ".join(f"{k} -> {v}" for k, v in sorted(witness.items()))
 
 
+def _holds_str(verdict) -> str:
+    """A satisfaction verdict: holds, or fails at its witness."""
+    return "holds" if verdict.holds else f"fails at {_witness_str(verdict.witness)}"
+
+
+def _trace_str(verdict) -> str:
+    """A trace verdict: accepted, or rejected at a step for a reason."""
+    if verdict.accepted:
+        return "accepted"
+    return f"rejected at step {verdict.step}: {verdict.reason}"
+
+
 def _bits(vertex) -> str:
     return "".join(str(b) for b in vertex) if vertex else "()"
 
@@ -146,18 +158,11 @@ def _check_printable(values) -> None:
         raise CapExceeded(f"a coefficient of the result exceeds the limit of {limit} digits")
 
 
-def _normalize_capped(term, max_vars: int):
-    """Normal form with the monomial cap the variable cap implies: no
-    product step may multiply more than 2^max_vars monomial pairs."""
-    from .polynomial import normalize
-
-    return normalize(term, max_pairs=1 << max_vars)
-
-
 def _cmd_normalize(args, caps):
+    from .polynomial import normalize, pair_cap
     from .terms import parse
 
-    p = _normalize_capped(parse(args.term), caps["max_vars"])
+    p = normalize(parse(args.term), pair_cap(caps["max_vars"]))
     _check_printable(p.coeffs.values())
     lines = [f"term: {args.term}", f"normal form: {p}"]
     data = {
@@ -172,12 +177,12 @@ def _cmd_normalize(args, caps):
 def _capped_normal_form(text: str, max_vars: int):
     """Normal form of a term whose vertex table is about to be listed:
     the variable cap is checked first."""
-    from .polynomial import check_var_cap
+    from .polynomial import check_var_cap, normalize, pair_cap
     from .terms import parse, variables
 
     term = parse(text)
     check_var_cap(variables(term), max_vars)
-    return _normalize_capped(term, max_vars)
+    return normalize(term, pair_cap(max_vars))
 
 
 def _cmd_expand(args, caps):
@@ -185,11 +190,8 @@ def _cmd_expand(args, caps):
 
     e = expand(_capped_normal_form(args.term, caps["max_vars"]))
     _check_printable(e.coeff_at.values())
-    lines = [f"term: {args.term}", "vars: " + " ".join(e.vars)]
-    coeff_rows = []
-    for v in e.vertices():
-        lines.append(f"{_bits(v)}: {e.coeff_at[v]}")
-        coeff_rows.append({"vertex": list(v), "coeff": e.coeff_at[v]})
+    lines = [f"term: {args.term}", "vars: " + " ".join(e.vars), str(e)]
+    coeff_rows = [{"vertex": list(v), "coeff": e.coeff_at[v]} for v in e.vertices()]
     data = {"term": args.term, "vars": list(e.vars), "coefficients": coeff_rows}
     return 0, lines, data
 
@@ -218,23 +220,26 @@ def _cmd_check(args, caps):
     from .classes import semantic_consequence
     from .derivation import certify_consequence, verify_certificate
     from .horn import equation_variables, format_equation
-    from .polynomial import boole_oracle, check_var_cap
+    from .polynomial import boole_oracle, check_var_cap, pair_cap
     from .problems import parse_problem
 
     with open(args.problem) as fh:
         problem = parse_problem(fh.read())
-    lines = [f"problem: {args.problem}"]
-    for eq in problem.premisses:
-        lines.append(f"premiss: {format_equation(eq)}")
-    lines.append(f"conclusion: {format_equation(problem.conclusion)}")
+    premisses = [format_equation(eq) for eq in problem.premisses]
+    conclusion = format_equation(problem.conclusion)
+    lines = [
+        f"problem: {args.problem}",
+        *(f"premiss: {eq}" for eq in premisses),
+        f"conclusion: {conclusion}",
+    ]
+    verdicts = {}
     data = {
-        "premisses": [format_equation(eq) for eq in problem.premisses],
-        "conclusion": format_equation(problem.conclusion),
+        "premisses": premisses,
+        "conclusion": conclusion,
         "mode": args.mode,
-        "verdicts": {},
+        "verdicts": verdicts,
     }
-    affirmative = []
-    symbolic = []
+    symbolic = []  # the oracle, certificate and trace verdicts, as run
     want = (
         ("oracle", "certificate", "semantic") if args.mode == "all" else (args.mode,)
     )
@@ -247,11 +252,7 @@ def _cmd_check(args, caps):
         )
         tail = f" at {_witness_str(oracle.witness)}" if not oracle.valid else ""
         lines.append(f"oracle: {'valid' if oracle.valid else 'invalid'}{tail}")
-        data["verdicts"]["oracle"] = {
-            "valid": oracle.valid,
-            "witness": oracle.witness,
-        }
-        affirmative.append(oracle.valid)
+        verdicts["oracle"] = {"valid": oracle.valid, "witness": oracle.witness}
         symbolic.append(oracle.valid)
     if "certificate" in want:
         cert = certify_consequence(
@@ -259,22 +260,19 @@ def _cmd_check(args, caps):
         )
         if cert is None:
             lines.append("certificate: none (oracle rejects)")
-            data["verdicts"]["certificate"] = {"produced": False}
-            affirmative.append(False)
+            verdicts["certificate"] = {"produced": False}
             symbolic.append(False)
         else:
             _check_printable([cert.n, *(c for cof in cert.cofactors for c in cof.coeffs.values())])
             checked = verify_certificate(problem.premisses, problem.conclusion, cert)
             state = "verified" if checked.verified else "REJECTED"
             lines.append(f"certificate: {state} (n={cert.n})")
-            for j, cof in enumerate(cert.cofactors, 1):
-                lines.append(f"cofactor {j}: {cof}")
-            data["verdicts"]["certificate"] = {
+            lines.extend(f"cofactor {j}: {cof}" for j, cof in enumerate(cert.cofactors, 1))
+            verdicts["certificate"] = {
                 "produced": True,
                 "verified": checked.verified,
                 **cert.to_json_dict(),
             }
-            affirmative.append(checked.verified)
             symbolic.append(checked.verified)
     semantic = None
     if "semantic" in want:
@@ -291,32 +289,25 @@ def _cmd_check(args, caps):
                 f"semantic: invalid at n={semantic.witness_n}"
                 f" with {_witness_str(semantic.witness)}"
             )
-        data["verdicts"]["semantic"] = {
+        verdicts["semantic"] = {
             "valid": semantic.valid,
             "max_n": semantic.max_n,
             "witness_n": semantic.witness_n,
             "witness": semantic.witness,
         }
-        affirmative.append(semantic.valid)
     if args.trace is not None:
         from .derivation import check_trace, parse_trace
 
         with open(args.trace) as fh:
             trace = parse_trace(fh.read(), premisses=problem.premisses)
-        verdict = check_trace(trace, problem.mode, max_pairs=1 << caps["max_vars"])
-        if verdict.accepted:
-            lines.append(f"trace ({problem.mode}): accepted")
-        else:
-            lines.append(
-                f"trace ({problem.mode}): rejected at step {verdict.step}: {verdict.reason}"
-            )
-        data["verdicts"]["trace"] = {
+        verdict = check_trace(trace, problem.mode, max_pairs=pair_cap(caps["max_vars"]))
+        lines.append(f"trace ({problem.mode}): {_trace_str(verdict)}")
+        verdicts["trace"] = {
             "mode": problem.mode,
             "accepted": verdict.accepted,
             "step": verdict.step,
             "reason": verdict.reason,
         }
-        affirmative.append(verdict.accepted)
         symbolic.append(verdict.accepted)
     if semantic is not None and any(v != semantic.valid for v in symbolic):
         lines.append(
@@ -324,7 +315,7 @@ def _cmd_check(args, caps):
             " the symbolic calculus is not sound for partial class semantics"
         )
         data["disagreement"] = True
-    return (0 if all(affirmative) else 1), lines, data
+    return (0 if all(symbolic) and (semantic is None or semantic.valid) else 1), lines, data
 
 
 def _cmd_embed(args, caps):
@@ -332,15 +323,10 @@ def _cmd_embed(args, caps):
 
     verdict = verify_chi_embedding(args.boole, max_n=caps["max_universe"])
     if verdict.ok:
-        lines = [
-            f"universe size: {args.boole}",
-            f"indicator embedding: verified ({verdict.entries_checked} entries)",
-        ]
+        state = f"verified ({verdict.entries_checked} entries)"
     else:
-        lines = [
-            f"universe size: {args.boole}",
-            f"indicator embedding: FAILED ({verdict.failing})",
-        ]
+        state = f"FAILED ({verdict.failing})"
+    lines = [f"universe size: {args.boole}", f"indicator embedding: {state}"]
     data = {
         "n": args.boole,
         "ok": verdict.ok,
@@ -380,21 +366,16 @@ def _counterexample_intro():
     from .algebra import format_algebra, holds
 
     algebra = cx.intro_algebra()
-    law1, law2 = cx.intro_laws()
-    collapse = cx.intro_collapse()
-    v1 = holds(algebra, law1)
-    v2 = holds(algebra, law2)
-    v3 = holds(algebra, collapse)
+    laws = (*cx.intro_laws(), cx.intro_collapse())
+    verdicts = [holds(algebra, law) for law in laws]
     lines = ["counterexample: intro", "algebra:"]
     lines.extend(format_algebra(algebra).rstrip("\n").splitlines())
-    lines.append(f"law {law1}: {'holds' if v1.holds else 'fails'}")
-    lines.append(f"law {law2}: {'holds' if v2.holds else 'fails'}")
-    tail = f" at {_witness_str(v3.witness)}" if not v3.holds else ""
-    lines.append(f"law {collapse}: {'holds' if v3.holds else 'fails'}{tail}")
+    lines.extend(f"law {law}: {_holds_str(v)}" for law, v in zip(laws, verdicts))
     lines.append(
         "note: both defining laws hold where defined, yet their equational"
         " consequence x = y fails on the partial algebra"
     )
+    v1, v2, v3 = verdicts
     expected = v1.holds and v2.holds and not v3.holds and v3.witness == {
         "x": "0",
         "y": "1",
@@ -402,9 +383,8 @@ def _counterexample_intro():
     data = {
         "which": "intro",
         "laws": [
-            {"sentence": str(law1), "holds": v1.holds, "witness": v1.witness},
-            {"sentence": str(law2), "holds": v2.holds, "witness": v2.witness},
-            {"sentence": str(collapse), "holds": v3.holds, "witness": v3.witness},
+            {"sentence": str(law), "holds": v.holds, "witness": v.witness}
+            for law, v in zip(laws, verdicts)
         ],
         "reproduced": expected,
     }
@@ -413,7 +393,7 @@ def _counterexample_intro():
 
 def _counterexample_cx(caps):
     from . import counterexamples as cx
-    from .classes import build_pu, semantic_consequence
+    from .classes import semantic_consequence, subset_name
     from .derivation import HAILPERIN, SIGMA1, check_trace, format_trace
     from .horn import format_equation
 
@@ -424,20 +404,14 @@ def _counterexample_cx(caps):
     semantic = semantic_consequence(
         (), conclusion, max_n=1, cap=caps["max_universe"]
     )
-    pu = build_pu(1, caps["max_universe"])
     lines = [
         "counterexample: cx",
         "mode sigma1 admits idempotence on arbitrary terms and is unsound for class algebras",
         "trace:",
     ]
     lines.extend("  " + l for l in format_trace(trace).rstrip("\n").splitlines())
-    lines.append(f"sigma1 check: {'accepted' if sigma1.accepted else 'rejected'}")
-    if hailperin.accepted:
-        lines.append("hailperin check: accepted")
-    else:
-        lines.append(
-            f"hailperin check: rejected at step {hailperin.step}: {hailperin.reason}"
-        )
+    lines.append(f"sigma1 check: {_trace_str(sigma1)}")
+    lines.append(f"hailperin check: {_trace_str(hailperin)}")
     lines.append(f"conclusion: {format_equation(conclusion)}")
     if semantic.valid:
         lines.append("semantic check: valid")
@@ -457,7 +431,7 @@ def _counterexample_cx(caps):
         and hailperin.step == 1
         and not semantic.valid
         and semantic.witness_n == 1
-        and semantic.witness == {"x": pu.universe_name}
+        and semantic.witness == {"x": subset_name(1)}
     )
     data = {
         "which": "cx",
@@ -508,11 +482,8 @@ def _cmd_theorem_demo(args, caps):
     result = embeds_into_mod_bounded(
         algebra, laws, caps["max_model_size"], cap=caps["max_model_size"]
     )
-    if result.found:
-        lines.append("  embedding search: found one (unexpected)")
-        all_ok = False
-    else:
-        lines.append(f"  embedding search: none up to size {result.max_size}")
+    found = "found one (unexpected)" if result.found else f"none up to size {result.max_size}"
+    lines.append(f"  embedding search: {found}")
     model_count = 0
     sigma_everywhere = True
     for size in range(1, caps["max_model_size"] + 1):
@@ -525,10 +496,7 @@ def _cmd_theorem_demo(args, caps):
         f" {model_count}; x = y holds in {'all' if sigma_everywhere else 'NOT all'}"
     )
     on_partial = holds(algebra, sigma)
-    tail = f" at {_witness_str(on_partial.witness)}" if not on_partial.holds else ""
-    lines.append(
-        f"  on the partial algebra: x = y {'holds' if on_partial.holds else 'fails'}{tail}"
-    )
+    lines.append(f"  on the partial algebra: x = y {_holds_str(on_partial)}")
     all_ok = all_ok and not result.found and sigma_everywhere and not on_partial.holds
     data["principles_failure"] = {
         "embedding_found": result.found,

@@ -195,6 +195,14 @@ def _fold(left: dict, right: dict, sign: int) -> None:
             del left[mono]
 
 
+def pair_cap(max_vars: int) -> int:
+    """The monomial-pair cap of a product step under the variable cap
+    max_vars: 2^max_vars pairs, held at 2^64 so a cap of any length
+    costs one small integer.  No product reaches 2^64 pairs (each factor
+    would need 2^32 monomials), so the hold changes no outcome."""
+    return 1 << min(max_vars, 64)
+
+
 def _pair_cap(left: dict, right: dict, max_pairs: int | None) -> None:
     """Raise CapExceeded before a product of polynomials with these
     monomials that would multiply more than ``max_pairs`` pairs."""
@@ -497,10 +505,11 @@ def check_var_cap(names, max_vars: int) -> None:
 def _differences(premisses, conclusion, max_vars: int):
     """(names, f, gs): the pooled variables in sorted order, the
     conclusion difference and the premiss differences, each side
-    normalized with no product step over 2^max_vars monomial pairs.
+    normalized with no product step over ``pair_cap(max_vars)``
+    monomial pairs.
     Raises CapExceeded at such a step, or when more than max_vars
     variables occur."""
-    max_pairs = 1 << max_vars
+    max_pairs = pair_cap(max_vars)
     gs = [equation_difference(eq, max_pairs) for eq in premisses]
     f = equation_difference(conclusion, max_pairs)
     names = tuple(sorted(set(f.vars).union(*(g.vars for g in gs))))
@@ -563,7 +572,7 @@ def boole_oracle(premisses, conclusion, max_vars: int = MAX_VARS) -> OracleVerdi
     O(m) splits, not 2^m vertices; the witness is the lexicographically
     least failing vertex.  The number m of variables is capped at
     ``max_vars``, and each product step of the normal forms at
-    2^max_vars monomial pairs.
+    ``pair_cap(max_vars)`` monomial pairs.
     """
     names, f, gs = _differences(premisses, conclusion, max_vars)
     index = _least_witness(_bit_terms(names, [f, *gs]))

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from boolelab.algebra import (
+    CheckVerdict,
     FinitePartialAlgebra,
     UNDEFINED,
     UnknownSymbolError,
@@ -439,6 +440,12 @@ def test_weak_subalgebra_not_into_xor():
     assert "('1', '1')" in verdict.reason
 
 
+def test_weak_subalgebra_names_extra_carrier_elements():
+    wider = FinitePartialAlgebra(("0", "1", "2"), (("+", 2),), {"+": {}})
+    verdict = is_weak_subalgebra(wider, intro_algebra())
+    assert verdict == CheckVerdict(False, "carrier elements ['2'] are not in the larger algebra")
+
+
 def test_weak_subalgebra_signature_mismatch():
     with pytest.raises(ValueError):
         is_weak_subalgebra(intro_algebra(), build_pu(1).algebra)
@@ -462,6 +469,30 @@ def test_embedding_swap_also_works():
 def test_embedding_requires_total_mapping():
     with pytest.raises(ValueError):
         check_embedding(intro_algebra(), max_algebra(), {"0": "0"})
+
+
+@pytest.mark.parametrize(
+    "p, q, image_of_1, reason",
+    [
+        (intro_algebra(), max_algebra(), "2", "mapping leaves the target carrier"),
+        (max_algebra(), intro_algebra(), "1", "+ is undefined at the image of ('0', '1')"),
+        (intro_algebra(), xor_algebra(), "1", "+ at the image of ('1', '1') gives 0, expected 1"),
+    ],
+    ids=["carrier", "undefined", "value"],
+)
+def test_embedding_rejection_reasons(p, q, image_of_1, reason):
+    verdict = check_embedding(p, q, {"0": "0", "1": image_of_1})
+    assert verdict == CheckVerdict(False, reason)
+
+
+def test_embedding_needs_the_signature_inside_the_target():
+    # P(1) interprets -, *, 0 and 1, which intro_algebra lacks
+    p = build_pu(1).algebra
+    mapping = dict(zip(p.carrier, intro_algebra().carrier))
+    with pytest.raises(ValueError, match="embedding needs p's signature inside q's"):
+        check_embedding(p, intro_algebra(), mapping)
+    with pytest.raises(ValueError, match="embedding needs p's signature inside q's"):
+        search_embedding(p, intro_algebra())
 
 
 def test_search_embedding_finds_identity_first():
@@ -496,6 +527,21 @@ def test_presentation_class_algebra_counts():
     counts = Counter(op for op, _, _ in pres.diag_plus)
     assert counts == {"+": 3, "-": 3, "*": 4, "0": 1, "1": 1}
     assert pres.distinct == (("{}", "{0}"),)
+    assert str(pres).splitlines() == [
+        "+({}, {}) = {}",
+        "+({}, {0}) = {0}",
+        "+({0}, {}) = {0}",
+        "-({}, {}) = {}",
+        "-({0}, {}) = {0}",
+        "-({0}, {0}) = {}",
+        "*({}, {}) = {}",
+        "*({}, {0}) = {}",
+        "*({0}, {}) = {}",
+        "*({0}, {0}) = {0}",
+        "0 = {}",
+        "1 = {0}",
+        "{} != {0}",
+    ]
 
 
 def test_weak_subalgebra_is_a_partial_order():
@@ -545,6 +591,24 @@ def test_operation_arity_is_a_digit_string():
             parse_algebra(f"carrier: a\nop f/{arity}:\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("carrier: a\ncarrier: b\n", "line 2: second carrier line"),
+        ("carrier: a\na a -> a\n", "line 2: entry before any operation header"),
+        ("carrier: a\nop f/2:\na -> a\n", "line 3: entry does not match arity 2"),
+        ("carrier: a\nop f/2:\na a -> a\na a -> a\n", "line 4: duplicate entry"),
+        ("carrier: a\nop f/2:\nf a a\n", "line 3: unrecognized line 'f a a'"),
+        # found only at the end of the file, so no line is named
+        ("op c/0:\n-> a\n", "missing carrier line"),
+    ],
+)
+def test_algebra_file_refusals(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_algebra(text)
+    assert str(info.value) == message
+
+
 def test_operation_arity_over_the_digit_limit_names_its_line():
     limit = sys.get_int_max_str_digits()
     with pytest.raises(CapExceeded) as info:
@@ -561,6 +625,10 @@ def test_validation_rejects_bad_tables():
         FinitePartialAlgebra(("a",), (("+", 2),), {"+": {("a", "a"): "b"}})
     with pytest.raises(ValueError):
         FinitePartialAlgebra(("a",), (), {"+": {}})
+    with pytest.raises(ValueError, match="carrier elements must be distinct"):
+        FinitePartialAlgebra(("a", "a"), (), {})
+    with pytest.raises(ValueError, match="duplicate operation in signature"):
+        FinitePartialAlgebra(("a",), (("c", 0), ("c", 0)), {})
 
 
 def test_defined_entries_order():

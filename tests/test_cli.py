@@ -495,6 +495,28 @@ def test_check_normalizes_under_the_pair_cap(capsys, tmp_path, mode):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "x"],
+        *(["check", BARBARA, "--mode", m] for m in ("oracle", "certificate", "semantic", "all")),
+        ["check", BARBARA, "--trace", "refl.trace"],
+    ],
+    ids=["normalize", "oracle", "certificate", "semantic", "all", "trace"],
+)
+def test_a_variable_cap_of_any_length_answers(capsys, tmp_path, monkeypatch, argv):
+    # a 20-digit cap allows every product the default cap allows
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "refl.trace").write_text("1: x = x [Refl]\n")
+    code, out = invoke(capsys, argv)
+    assert code == 0
+    huge_code, huge_out = invoke(capsys, ["--max-vars", "9" * 20, *argv])
+    assert (huge_code, strip_timing(huge_out)) == (code, strip_timing(out))
+    monkeypatch.setenv("BOOLELAB_MAX_VARS", "9" * 20)
+    env_code, env_out = invoke(capsys, argv)
+    assert (env_code, strip_timing(env_out)) == (code, strip_timing(out))
+
+
+@pytest.mark.parametrize(
     "steps, product, pairs",
     [
         # 20 factors of 7 monomials: the free-ring normal form has
@@ -878,7 +900,10 @@ def _bad_rule_tags():
 
 @pytest.mark.parametrize(
     "step",
-    [f"x = x [{tag}]" for tag in _bad_rule_tags()] + ["x + = x [Refl]", "x = (x [Sym 1]"],
+    [f"x = x [{tag}]" for tag in _bad_rule_tags()]
+    + ["x + = x [Refl]", "x = (x [Sym 1]"]
+    # no tag, two '=', an empty tag, an unknown rule name
+    + ["x = x", "x = x = x [Refl]", "x = x []", "x = x [Foo 1]"],
 )
 def test_malformed_trace_steps_name_their_line(capsys, tmp_path, step):
     trace = tmp_path / "bad.trace"

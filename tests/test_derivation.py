@@ -372,6 +372,16 @@ def test_refl_needs_identical_sides():
     rejects((TraceStep(x, y, Refl()),))
 
 
+def test_trans_needs_earlier_steps():
+    verdict = rejects((TraceStep(x, x, Refl()), TraceStep(x, x, Trans(1, 2))))
+    assert (verdict.step, verdict.reason) == (2, "both referenced steps must be earlier")
+
+
+def test_empty_trace_has_no_conclusion():
+    with pytest.raises(ValueError, match="empty trace has no conclusion"):
+        DerivationTrace((), ()).conclusion
+
+
 def test_sym_checks_reversal_and_reference():
     good = TraceStep(x, y, Premiss())
     rejects((good, TraceStep(x, y, Sym(1))), premisses=((x, y),))
@@ -469,6 +479,22 @@ def test_cx_trace_text():
         "3: 2*x = 0 [IntegerSimplification 2]\n"
         "4: x = 0 [NoNilpotent 3 2]\n"
     )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("x = x [Refl]", "missing step number"),
+        ("1: x = x", "missing [Rule] tag"),
+        ("1: x = x = x [Refl]", "step needs exactly one '='"),
+        ("1: x = x []", "empty rule tag"),
+        ("1: x = x [Foo 1]", "unknown rule name 'Foo'"),
+    ],
+)
+def test_trace_file_refusals_name_their_line(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_trace(f"# a comment\n{line}\n")
+    assert str(info.value) == f"line 2: {message}"
 
 
 def test_parse_trace_enforces_numbering():

@@ -99,6 +99,18 @@ def test_parse_equation_demands_one_equals():
         parse_equation("x = y = z")
 
 
+@pytest.mark.parametrize("line", ["x = y", "x = y -> y = x -> x = x"])
+def test_theory_line_needs_one_arrow(line):
+    with pytest.raises(ValueError) as info:
+        parse_theory(f"-> x = x\n{line}\n")
+    assert str(info.value) == "line 2: expected exactly one '->'"
+
+
+def test_guard_atoms_use_only_the_guard_variable():
+    with pytest.raises(ValueError, match="guard atoms must use exactly the variable 'x'"):
+        Delta("x", ((Mul(y, y), y),))
+
+
 def test_theory_round_trip():
     text = "\n".join(
         [

@@ -167,6 +167,11 @@ def test_embedding_search_blocked_for_intro():
     assert result.mapping is None
 
 
+def test_embedding_search_bound_over_the_cap():
+    with pytest.raises(CapExceeded, match="model size bound 5 exceeds the limit of 4"):
+        embeds_into_mod_bounded(intro_algebra(), intro_laws(), 5)
+
+
 def test_embedding_search_into_commutative_models():
     result = embeds_into_mod_bounded(intro_algebra(), (COMMUTATIVE,), 4)
     assert result.found

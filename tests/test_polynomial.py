@@ -19,6 +19,7 @@ from boolelab.polynomial import (
     expand,
     interpretability,
     normalize,
+    pair_cap,
     unexpand,
 )
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, parse
@@ -136,6 +137,12 @@ def test_normalize_monomial_cap():
     assert normalize(term) is kept and normalize(term, max_pairs=16) is kept
     with pytest.raises(CapExceeded, match="4 monomial pairs in one product exceeds the limit of 1"):
         normalize(term, max_pairs=1)
+
+
+def test_pair_cap_stops_at_two_to_the_64():
+    assert [pair_cap(k) for k in (1, 4, 20, 64)] == [2, 16, 2**20, 2**64]
+    assert pair_cap(65) == pair_cap(10**20) == 2**64
+    assert boole_oracle((), (Var("x"), Var("x")), max_vars=10**20).valid
 
 
 def test_equation_difference_matches_normalized_difference():
