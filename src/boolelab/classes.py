@@ -77,12 +77,15 @@ def build_pu(n: int, max_n: int = MAX_UNIVERSE) -> ClassAlgebra:
     """The class algebra of a universe with n points.
 
     The carrier has 2^n elements in bitmask order, so n is capped
-    (default 5).
+    (default 5).  The cap is held at 32, so a cap of any length costs
+    one small integer: at n = 32 a binary table has 4^32 = 2^64
+    entries, which no run builds, so the hold changes no outcome.
     """
     if n < 1:
         raise ValueError("the universe must be nonempty")
-    if n > max_n:
-        raise CapExceeded(f"universe size {n} exceeds the limit of {max_n}")
+    limit = min(max_n, 32)
+    if n > limit:
+        raise CapExceeded(f"universe size {n} exceeds the limit of {limit}")
     return _build_pu_cached(n)
 
 

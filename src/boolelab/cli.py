@@ -52,8 +52,18 @@ def _trace_str(verdict) -> str:
     return f"rejected at step {verdict.step}: {verdict.reason}"
 
 
-def _bits(vertex) -> str:
-    return "".join(str(b) for b in vertex) if vertex else "()"
+def _semantic_str(verdict) -> str:
+    """A semantic verdict: valid up to its bound, or invalid at a witness."""
+    if verdict.valid:
+        return f"valid (universe sizes 1..{verdict.max_n})"
+    return f"invalid at n={verdict.witness_n} with {_witness_str(verdict.witness)}"
+
+
+def _chi_str(verdict) -> str:
+    """An indicator-embedding verdict: verified, or failed for a reason."""
+    if verdict.ok:
+        return f"verified ({verdict.entries_checked} entries)"
+    return f"FAILED ({verdict.failing})"
 
 
 def _positive_int(text: str) -> int:
@@ -197,7 +207,7 @@ def _cmd_expand(args, caps):
 
 
 def _cmd_interpret(args, caps):
-    from .polynomial import INTERPRETABLE, expand, interpretability
+    from .polynomial import INTERPRETABLE, bits, expand, interpretability
 
     p = _capped_normal_form(args.term, caps["max_vars"])
     _check_printable(p.coeffs.values())
@@ -206,7 +216,7 @@ def _cmd_interpret(args, caps):
     coeff_at = expand(p).coeff_at if verdict.bad_vertices else {}
     _check_printable(coeff_at[v] for v in verdict.bad_vertices)
     for v in verdict.bad_vertices:
-        lines.append(f"bad constituent {_bits(v)}: coefficient {coeff_at[v]}")
+        lines.append(f"bad constituent {bits(v)}: coefficient {coeff_at[v]}")
     data = {
         "term": args.term,
         "verdict": verdict.kind,
@@ -252,7 +262,7 @@ def _cmd_check(args, caps):
         )
         tail = f" at {_witness_str(oracle.witness)}" if not oracle.valid else ""
         lines.append(f"oracle: {'valid' if oracle.valid else 'invalid'}{tail}")
-        verdicts["oracle"] = {"valid": oracle.valid, "witness": oracle.witness}
+        verdicts["oracle"] = vars(oracle)
         symbolic.append(oracle.valid)
     if "certificate" in want:
         cert = certify_consequence(
@@ -282,19 +292,8 @@ def _cmd_check(args, caps):
             max_n=problem.max_n,
             cap=caps["max_universe"],
         )
-        if semantic.valid:
-            lines.append(f"semantic: valid (universe sizes 1..{semantic.max_n})")
-        else:
-            lines.append(
-                f"semantic: invalid at n={semantic.witness_n}"
-                f" with {_witness_str(semantic.witness)}"
-            )
-        verdicts["semantic"] = {
-            "valid": semantic.valid,
-            "max_n": semantic.max_n,
-            "witness_n": semantic.witness_n,
-            "witness": semantic.witness,
-        }
+        lines.append(f"semantic: {_semantic_str(semantic)}")
+        verdicts["semantic"] = vars(semantic)
     if args.trace is not None:
         from .derivation import check_trace, parse_trace
 
@@ -302,12 +301,7 @@ def _cmd_check(args, caps):
             trace = parse_trace(fh.read(), premisses=problem.premisses)
         verdict = check_trace(trace, problem.mode, max_pairs=pair_cap(caps["max_vars"]))
         lines.append(f"trace ({problem.mode}): {_trace_str(verdict)}")
-        verdicts["trace"] = {
-            "mode": problem.mode,
-            "accepted": verdict.accepted,
-            "step": verdict.step,
-            "reason": verdict.reason,
-        }
+        verdicts["trace"] = {"mode": problem.mode, **vars(verdict)}
         symbolic.append(verdict.accepted)
     if semantic is not None and any(v != semantic.valid for v in symbolic):
         lines.append(
@@ -322,17 +316,8 @@ def _cmd_embed(args, caps):
     from .classes import verify_chi_embedding
 
     verdict = verify_chi_embedding(args.boole, max_n=caps["max_universe"])
-    if verdict.ok:
-        state = f"verified ({verdict.entries_checked} entries)"
-    else:
-        state = f"FAILED ({verdict.failing})"
-    lines = [f"universe size: {args.boole}", f"indicator embedding: {state}"]
-    data = {
-        "n": args.boole,
-        "ok": verdict.ok,
-        "entries_checked": verdict.entries_checked,
-        "failing": verdict.failing,
-    }
+    lines = [f"universe size: {args.boole}", f"indicator embedding: {_chi_str(verdict)}"]
+    data = {"n": args.boole, **vars(verdict)}
     return (0 if verdict.ok else 1), lines, data
 
 
@@ -349,9 +334,10 @@ def _cmd_model_search(args, caps):
         lines.append("no total model of this size")
         data = {"size": args.size, "found": False}
         return 1, lines, data
+    text = format_algebra(model)
     lines.append("model:")
-    lines.extend(format_algebra(model).rstrip("\n").splitlines())
-    data = {"size": args.size, "found": True, "model": format_algebra(model)}
+    lines.extend(text.rstrip("\n").splitlines())
+    data = {"size": args.size, "found": True, "model": text}
     return 0, lines, data
 
 
@@ -382,10 +368,7 @@ def _counterexample_intro():
     }
     data = {
         "which": "intro",
-        "laws": [
-            {"sentence": str(law), "holds": v.holds, "witness": v.witness}
-            for law, v in zip(laws, verdicts)
-        ],
+        "laws": [{"sentence": str(law), **vars(v)} for law, v in zip(laws, verdicts)],
         "reproduced": expected,
     }
     return (0 if expected else 1), lines, data
@@ -404,23 +387,18 @@ def _counterexample_cx(caps):
     semantic = semantic_consequence(
         (), conclusion, max_n=1, cap=caps["max_universe"]
     )
+    text = format_trace(trace)
     lines = [
         "counterexample: cx",
         "mode sigma1 admits idempotence on arbitrary terms and is unsound for class algebras",
         "trace:",
     ]
-    lines.extend("  " + l for l in format_trace(trace).rstrip("\n").splitlines())
+    lines.extend("  " + l for l in text.rstrip("\n").splitlines())
     lines.append(f"sigma1 check: {_trace_str(sigma1)}")
     lines.append(f"hailperin check: {_trace_str(hailperin)}")
     lines.append(f"conclusion: {format_equation(conclusion)}")
-    if semantic.valid:
-        lines.append("semantic check: valid")
-    else:
-        lines.append(
-            f"semantic check: invalid at n={semantic.witness_n}"
-            f" with {_witness_str(semantic.witness)}"
-            f" (the universe itself)"
-        )
+    tail = "" if semantic.valid else " (the universe itself)"
+    lines.append(f"semantic check: {_semantic_str(semantic)}{tail}")
     lines.append(
         "note: the sigma1 derivation is accepted symbolically, but its"
         " conclusion fails in the class algebras"
@@ -435,13 +413,9 @@ def _counterexample_cx(caps):
     )
     data = {
         "which": "cx",
-        "trace": format_trace(trace),
+        "trace": text,
         "sigma1": {"accepted": sigma1.accepted},
-        "hailperin": {
-            "accepted": hailperin.accepted,
-            "step": hailperin.step,
-            "reason": hailperin.reason,
-        },
+        "hailperin": vars(hailperin),
         "conclusion": format_equation(conclusion),
         "semantic": {
             "valid": semantic.valid,
@@ -467,10 +441,7 @@ def _cmd_theorem_demo(args, caps):
     for n in (1, 2, 3):
         verdict = verify_chi_embedding(n, max_n=caps["max_universe"])
         all_ok = all_ok and verdict.ok
-        state = "verified" if verdict.ok else f"FAILED ({verdict.failing})"
-        lines.append(
-            f"  indicator embedding n={n}: {state} ({verdict.entries_checked} entries)"
-        )
+        lines.append(f"  indicator embedding n={n}: {_chi_str(verdict)}")
         data["chi"].append(
             {"n": n, "ok": verdict.ok, "entries": verdict.entries_checked}
         )

@@ -190,10 +190,9 @@ def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Cert
     a vertex where f is nonzero and every premiss difference is 0.
     """
     names, f, diffs = _differences(premisses, conclusion, max_vars)
-    live = [j for j, g in enumerate(diffs) if g._coeffs]
     n = 1
     done: list[list] = []  # the cofactors of finished subtrees, in order
-    todo: list = [_bit_terms(names, [f, *(diffs[j] for j in live)])]
+    todo: list = [_bit_terms(names, [f, *diffs])]
     while todo:
         polys = todo.pop()
         if type(polys) is int:  # join the last two subtrees at this bit
@@ -254,11 +253,10 @@ def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Cert
             bit, polys, ones = _split(polys)
             todo += (bit, ones)
     monos = _Monomials(names)
-    found = dict(zip(live, done[0]))
-    cofactors = []
-    for j in range(len(diffs)):
-        c = found.get(j) or {}
-        cofactors.append(MultilinearPoly._of(names, {monos[k]: b for k, b in c.items()}))
+    # a premiss difference of 0 is free at every leaf, so its cofactor is 0
+    cofactors = (
+        MultilinearPoly._of(names, {monos[k]: b for k, b in (c or {}).items()}) for c in done[0]
+    )
     return Certificate(n, tuple(cofactors))
 
 

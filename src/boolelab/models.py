@@ -202,13 +202,20 @@ def enumerate_total_models(sentences, size: int, base_signature=()):
             i += 1
 
 
+# Every carrier-size cap is held at 2^32, so a cap of any length costs
+# one small integer: a binary table of 2^32 elements has 2^64 cells,
+# which no search fills, so the hold changes no outcome.
+_SIZE_HOLD = 1 << 32
+
+
 def search_total_model(sentences, size: int, max_size: int = MAX_MODEL_SIZE):
     """First total model of the sentences at the given carrier size, or
-    None; size is capped (default 4)."""
+    None; size is capped (default 4, held at 2^32)."""
     if size < 1:
         raise ValueError("carrier size must be at least 1")
-    if size > max_size:
-        raise CapExceeded(f"model size {size} exceeds the limit of {max_size}")
+    limit = min(max_size, _SIZE_HOLD)
+    if size > limit:
+        raise CapExceeded(f"model size {size} exceeds the limit of {limit}")
     return next(enumerate_total_models(sentences, size), None)
 
 
@@ -236,9 +243,11 @@ def embeds_into_mod_bounded(
     canonical enumeration order and the embedding search tries images
     lexicographically, so the witness is deterministic.  The models
     interpret p's signature together with any extra theory symbols.
+    The bound is capped (held at 2^32).
     """
-    if max_size > cap:
-        raise CapExceeded(f"model size bound {max_size} exceeds the limit of {cap}")
+    limit = min(cap, _SIZE_HOLD)
+    if max_size > limit:
+        raise CapExceeded(f"model size bound {max_size} exceeds the limit of {limit}")
     for size in range(1, max_size + 1):
         if size < len(p.carrier):
             continue  # no injection exists

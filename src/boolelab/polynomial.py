@@ -308,11 +308,13 @@ class ConstituentExpansion(Value):
         return sorted(self.coeff_at)
 
     def __str__(self):
-        rows = []
-        for v in self.vertices():
-            bits = "".join(str(b) for b in v) if v else "()"
-            rows.append(f"{bits}: {self.coeff_at[v]}")
-        return "\n".join(rows)
+        return "\n".join(f"{bits(v)}: {self.coeff_at[v]}" for v in self.vertices())
+
+
+def bits(vertex: tuple[int, ...]) -> str:
+    """A vertex as its bit string, ``()`` for the one vertex over no
+    variables."""
+    return "".join(map(str, vertex)) if vertex else "()"
 
 
 def vertices(var_names) -> Iterator[tuple[int, ...]]:

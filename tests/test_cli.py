@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolelab import classes
+from boolelab.classes import ChiVerdict, SemanticVerdict
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
 from boolelab.derivation import (
@@ -185,6 +187,33 @@ def test_schema_checks_the_error_data(capsys, data):
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, SCHEMA)
     doc["data"] = data
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "argv, path, key",
+    [
+        (["check", BARBARA], ("verdicts", "semantic"), "max_n"),
+        (["check", BARBARA, "--trace", "refl.trace"], ("verdicts", "trace"), "reason"),
+        (["embed", "--boole", "1"], (), "entries_checked"),
+        (["counterexample", "intro"], ("laws", 0), "witness"),
+    ],
+    ids=["semantic", "trace", "embed", "laws"],
+)
+@pytest.mark.parametrize("change", ["rename", "add"])
+def test_schema_pins_the_record_shapes(capsys, tmp_path, monkeypatch, argv, path, key, change):
+    # each of these objects lists every field of its verdict record
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "refl.trace").write_text("1: x = x [Refl]\n")
+    _, doc = invoke_json(capsys, argv)
+    shape = doc["data"]
+    for step in path:
+        shape = shape[step]
+    if change == "rename":
+        shape[key + "_"] = shape.pop(key)
+    else:
+        shape["extra"] = None
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, SCHEMA)
 
@@ -572,6 +601,42 @@ def test_cap_env_and_flag_precedence(capsys, monkeypatch):
     assert code == 0
 
 
+TWENTY_NINES = "9" * 20
+
+
+@pytest.mark.parametrize(
+    "key, argv, message",
+    [
+        (
+            "max_universe",
+            ["embed", "--boole", TWENTY_NINES],
+            f"universe size {TWENTY_NINES} exceeds the limit of 32",
+        ),
+        (
+            "max_model_size",
+            ["model-search", COMMUTATIVE, "--size", TWENTY_NINES],
+            f"model size {TWENTY_NINES} exceeds the limit of {2**32}",
+        ),
+        (
+            "max_model_size",
+            ["theorem-demo"],
+            f"model size bound {TWENTY_NINES} exceeds the limit of {2**32}",
+        ),
+    ],
+    ids=["embed", "model-search", "theorem-demo"],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_size_cap_of_any_length_is_held(capsys, monkeypatch, key, argv, message, source):
+    # the universe cap holds at 32 and the model-size cap at 2^32, so a
+    # 20-digit cap exits 3 instead of shifting or listing 10^20 elements
+    if source == "flag":
+        argv = ["--" + key.replace("_", "-"), TWENTY_NINES, *argv]
+    else:
+        monkeypatch.setenv(f"BOOLELAB_{key.upper()}", TWENTY_NINES)
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", f"cap exceeded: {message}\n")
+
+
 def test_counterexample_intro(capsys):
     code, out = invoke(capsys, ["counterexample", "intro"])
     assert code == 0
@@ -616,6 +681,61 @@ def test_theorem_demo_json(capsys):
     assert failure["embedding_found"] is False
     assert failure["sigma_holds_in_all_models"] is True
     assert failure["witness"] == {"x": "0", "y": "1"}
+
+
+# Branches no shipped fixture reaches: each verdict is replaced by one
+# that fails (or, for the cx semantic check, holds) through monkeypatch.
+
+
+def test_embed_reports_a_failing_embedding(capsys, monkeypatch):
+    monkeypatch.setattr(
+        classes, "verify_chi_embedding", lambda n, max_n: ChiVerdict(False, 7, "mismatch at +")
+    )
+    code, out = invoke(capsys, ["embed", "--boole", "2"])
+    assert (code, strip_timing(out)) == (
+        1,
+        "universe size: 2\nindicator embedding: FAILED (mismatch at +)",
+    )
+    code, doc = invoke_json(capsys, ["embed", "--boole", "2"])
+    assert code == 1
+    assert doc["data"] == {"n": 2, "ok": False, "entries_checked": 7, "failing": "mismatch at +"}
+
+
+def test_theorem_demo_reports_a_failing_embedding(capsys, monkeypatch):
+    real = classes.verify_chi_embedding
+
+    def verify(n, max_n):
+        return ChiVerdict(False, 5, "mismatch at *") if n == 2 else real(n, max_n)
+
+    monkeypatch.setattr(classes, "verify_chi_embedding", verify)
+    code, out = invoke(capsys, ["theorem-demo"])
+    assert code == 1
+    assert strip_timing(out).splitlines()[2:5] == [
+        "  indicator embedding n=1: verified (12 entries)",
+        "  indicator embedding n=2: FAILED (mismatch at *)",
+        "  indicator embedding n=3: verified (120 entries)",
+    ]
+    code, doc = invoke_json(capsys, ["theorem-demo"])
+    assert code == 1
+    assert doc["data"]["chi"] == [
+        {"n": 1, "ok": True, "entries": 12},
+        {"n": 2, "ok": False, "entries": 5},
+        {"n": 3, "ok": True, "entries": 120},
+    ]
+
+
+def test_counterexample_cx_reports_a_valid_semantic_check(capsys, monkeypatch):
+    def semantic_consequence(premisses, conclusion, max_n, cap):
+        return SemanticVerdict(True, max_n)
+
+    monkeypatch.setattr(classes, "semantic_consequence", semantic_consequence)
+    code, out = invoke(capsys, ["counterexample", "cx"])
+    assert code == 1
+    assert "semantic check: valid (universe sizes 1..1)\n" in out
+    code, doc = invoke_json(capsys, ["counterexample", "cx"])
+    assert code == 1
+    assert doc["data"]["semantic"] == {"valid": True, "witness_n": None, "witness": None}
+    assert doc["data"]["reproduced"] is False
 
 
 def test_usage_errors_exit_two(capsys):

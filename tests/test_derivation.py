@@ -220,6 +220,32 @@ def test_certify_matches_reference_dense():
         assert (cert is not None) == valid
 
 
+def test_certify_gives_a_zero_premiss_difference_the_zero_cofactor():
+    """A premiss t = t, whose difference is 0, is free at every leaf, so
+    its cofactor is 0 wherever it stands: before a unit, between
+    constants, or last."""
+    def inserted(premisses, k, t):
+        return (*premisses[:k], (t, t), *premisses[k:])
+
+    constants = ((Mul(IntLit(2), x), ZERO), (Mul(IntLit(3), x), ZERO))
+    cases = [(inserted(constants, 1, x), (x, ZERO), 1)]
+    for m in range(2, 7):
+        premisses, conclusion = chain(m)
+        cases += [(inserted(premisses, k, Var("v0")), conclusion, k) for k in (0, len(premisses))]
+    rng = random.Random(2029)
+    for _ in range(200):
+        premisses, conclusion = random_ground_argument(rng)
+        k = rng.randint(0, len(premisses))
+        cases.append((inserted(premisses, k, random_term(rng, ("x", "y", "z"), 2)), conclusion, k))
+    produced = 0
+    for premisses, conclusion, k in cases:
+        cert = assert_same_certificate(premisses, conclusion)
+        if cert is not None:
+            produced += 1
+            assert not cert.cofactors[k].coeffs
+    assert produced > 30
+
+
 def test_certify_long_chains():
     """On the chain over m symbols, cofactor j + 1 is v0*...*v(j-1) times
     (1 - v(m-1)), and the last one is v0*...*v(m-3): 2m - 3 monomials
