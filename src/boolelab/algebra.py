@@ -63,7 +63,8 @@ class FinitePartialAlgebra(Value):
     """Named carrier, signature of (name, arity) pairs, partial tables.
 
     Tables map argument tuples to carrier elements; constants are
-    arity-0 operations keyed by the empty tuple.  Treat instances as
+    arity-0 operations keyed by the empty tuple.  ``index`` maps each
+    element to its position in the carrier.  Treat instances as
     immutable after construction.
     """
 
@@ -74,20 +75,22 @@ class FinitePartialAlgebra(Value):
     def __post_init__(self):
         if not self.carrier:
             raise ValueError("carrier must be nonempty")
-        if len(set(self.carrier)) != len(self.carrier):
+        index = dict(zip(self.carrier, range(len(self.carrier))))
+        if len(index) != len(self.carrier):
             raise ValueError("carrier elements must be distinct")
+        object.__setattr__(self, "index", index)
         arities = dict(self.signature)
         if len(arities) != len(self.signature):
             raise ValueError("duplicate operation in signature")
-        elements = set(self.carrier)
         for op, table in self.tables.items():
             if op not in arities:
                 raise ValueError(f"table for {op!r} has no signature entry")
-            for args, value in table.items():
-                if len(args) != arities[op]:
+            k = arities[op]
+            for args in table:
+                if len(args) != k:
                     raise ValueError(f"arity mismatch in table for {op!r}")
-                if not set(args) <= elements or value not in elements:
-                    raise ValueError(f"table for {op!r} strays outside the carrier")
+            if not index.keys() >= {*itertools.chain.from_iterable(table), *table.values()}:
+                raise ValueError(f"table for {op!r} strays outside the carrier")
 
     def defined_entries(self):
         """(op, args, value) triples, ops in signature order, entries in
@@ -121,10 +124,10 @@ class FinitePartialAlgebra(Value):
     def _layout(self) -> tuple[list, dict, dict]:
         """(cells, base, index): the tables as one flat list of carrier
         indices (None where undefined, binary tables row-major), each
-        symbol's first cell, and each element's carrier index.  The first
-        size^2 cells are never defined; a symbol whose declared arity does
-        not fit its use in terms reads there."""
-        index = {e: i for i, e in enumerate(self.carrier)}
+        symbol's first cell, and ``index``.  The first size^2 cells are
+        never defined; a symbol whose declared arity does not fit its use
+        in terms reads there."""
+        index = self.index
         cells: list = [None] * len(self.carrier) ** 2
         base = {}
         for op, k in self.signature:
@@ -144,7 +147,7 @@ class FinitePartialAlgebra(Value):
         """The defined entries as (op, argument indices, value index),
         filed under the carrier index of the last element each one
         mentions, an argument or the value."""
-        index = dict(zip(self.carrier, range(len(self.carrier))))
+        index = self.index
         filed: list = [[] for _ in self.carrier]
         for op, table in self.tables.items():
             for args, value in table.items():
@@ -153,21 +156,10 @@ class FinitePartialAlgebra(Value):
                 filed[max((*at, v))].append((op, at, v))
         return filed
 
-    @cached_property
-    def _programs(self) -> dict:
-        """``eval_term``'s compiled terms: id(t) -> (t, names, program),
-        at most _PROGRAMS_KEPT of them."""
-        return {}
-
 
 _OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
 _NOWHERE = 0  # first cell of a partial algebra's never-defined block
 _NO_ENTRIES: dict = {}  # the table of an operation with no defined entry
-# Terms whose programs one algebra keeps for eval_term.  Callers loop
-# over assignments of a few terms at a time; the bound keeps a caller
-# that streams fresh terms from holding them all.  A full cache is
-# emptied in one call, which stays safe when threads share the algebra.
-_PROGRAMS_KEPT = 64
 
 
 def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
@@ -240,19 +232,12 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
     Unbound variables and unknown operation symbols raise, whether or
     not the evaluation would reach them; an integer literal outside
     {0, 1} evaluates by a constant table of that name when the
-    signature has one and is UNDEFINED otherwise.  The algebra keeps
-    the programs of recently evaluated terms, so a caller that loops
-    over assignments of the same term objects compiles each once.
+    signature has one and is UNDEFINED otherwise.  Each call compiles
+    t afresh; a caller that loops over assignments should compile once,
+    as ``holds`` does.
     """
     cells, base, index = algebra._layout
-    programs = algebra._programs
-    # Terms are looked up by identity, never hashed: hashing a deep
-    # term would recurse.  The entry holds t, so its id stays t's own.
-    entry = programs.get(id(t))
-    if entry is not None and entry[0] is t:
-        _, names, prog = entry
-    else:
-        names, prog = variables(t), None
+    names = variables(t)
     env = []
     for name in names:
         if name not in assignment:
@@ -260,12 +245,7 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
         if assignment[name] not in index:
             raise ValueError(f"assignment sends {name!r} outside the carrier")
         env.append(index[assignment[name]])
-    if prog is None:
-        prog = _compile(t, names, base)
-        if len(programs) >= _PROGRAMS_KEPT:
-            programs.clear()
-        programs[id(t)] = (t, names, prog)
-    v = _eval(prog, env, cells, len(algebra.carrier))
+    v = _eval(_compile(t, names, base), env, cells, len(algebra.carrier))
     return UNDEFINED if v < 0 else algebra.carrier[v]
 
 

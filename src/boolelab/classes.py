@@ -41,7 +41,7 @@ class ClassAlgebra(Value):
         return subset_name((1 << self.universe_size) - 1)
 
     def mask_of(self, name: str) -> int:
-        return self.algebra.carrier.index(name)
+        return self.algebra.index[name]
 
     def name_of(self, mask: int) -> str:
         return self.algebra.carrier[mask]

@@ -501,7 +501,8 @@ def run(argv=None) -> int:
 
     A usage error or an exceeded cap after the arguments parse prints
     one line to stderr; under ``--json`` it also prints a report with
-    status "error" and the message in ``data.error``."""
+    status "error" and the message in ``data.error``.  Running out of
+    memory counts as an exceeded cap."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -512,14 +513,18 @@ def run(argv=None) -> int:
     try:
         code, lines, data = _HANDLERS[args.command](args, _caps(args))
     except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
         code, status, data = 3, "error", {"error": str(exc)}
+    except MemoryError:
+        # no name for the exception: its traceback's frames hold the
+        # half-built tables, and they go when this block ends
+        code, status, data = 3, "error", {"error": "out of memory"}
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         code, status, data = 2, "error", {"error": str(exc)}
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if status == "error" and not args.json:
-        return code
+    if status == "error":
+        print(f"{'cap exceeded' if code == 3 else 'error'}: {data['error']}", file=sys.stderr)
+        if not args.json:
+            return code
     try:
         if args.json:
             import json

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import MAX_VARS, CapExceeded, Value, read_lines
+from .errors import HAILPERIN, MAX_VARS, MODES, SIGMA1, CapExceeded, Value, read_lines
 from .polynomial import (
     MultilinearPoly,
     _bit_terms,
@@ -52,10 +52,6 @@ from .terms import (
     pretty,
     substitute,
 )
-
-HAILPERIN = "hailperin"
-SIGMA1 = "sigma1"
-MODES = (HAILPERIN, SIGMA1)
 
 HOLE = "HOLE"
 

@@ -1,9 +1,10 @@
 """Errors, default caps and the helpers shared across the package.
 
 Every command loads this module, so what several layers share lives
-here: the default size caps, ``Value`` (the base of the immutable
-records that the layers return: verdicts, certificates, problems,
-trace rules) and ``read_lines``, the line reader of the file formats.
+here: the default size caps, the names of the trace-checking modes,
+``Value`` (the base of the immutable records that the layers return:
+verdicts, certificates, problems, trace rules) and ``read_lines``, the
+line reader of the file formats.
 """
 
 
@@ -21,6 +22,12 @@ class CapExceeded(Exception):
 MAX_VARS = 20
 MAX_UNIVERSE = 5
 MAX_MODEL_SIZE = 4
+
+# The trace-checking modes: Hailperin's admits idempotence only on a
+# bare class symbol, sigma1 on any term.  Problem files name one.
+HAILPERIN = "hailperin"
+SIGMA1 = "sigma1"
+MODES = (HAILPERIN, SIGMA1)
 
 
 def read_lines(text: str, read) -> None:

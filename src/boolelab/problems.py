@@ -16,8 +16,7 @@ variables are always listed in sorted order.
 
 from __future__ import annotations
 
-from .derivation import HAILPERIN, MODES
-from .errors import Value, read_lines
+from .errors import HAILPERIN, MODES, Value, read_lines
 from .horn import Equation, parse_equation
 from .terms import parse_int
 

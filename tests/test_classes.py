@@ -8,6 +8,7 @@ import pytest
 
 from boolelab.algebra import UNDEFINED, holds
 from boolelab.classes import (
+    ChiVerdict,
     IntVector,
     build_pu,
     chi,
@@ -132,6 +133,23 @@ def test_chi_embedding_verified():
         assert verdict.ok
         assert verdict.failing is None
         assert verdict.entries_checked == entries
+
+
+def test_mask_and_name_round_trip():
+    for n in range(1, 6):
+        pu = build_pu(n)
+        for mask, name in enumerate(pu.algebra.carrier):
+            assert pu.mask_of(name) == mask
+            assert pu.name_of(mask) == name
+            assert pu.mask_of(subset_name(mask)) == mask
+
+
+def test_chi_embedding_checks_every_entry_up_to_six_points():
+    # 3^n disjoint pairs for +, 3^n contained pairs for -, 4^n pairs
+    # for *, and the two constants
+    expected_entries = {1: 12, 2: 36, 3: 120, 4: 420, 5: 1512, 6: 5556}
+    for n, entries in expected_entries.items():
+        assert verify_chi_embedding(n, max_n=6) == ChiVerdict(True, entries)
 
 
 def test_semantic_union_absorption():

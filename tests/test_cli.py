@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolelab import classes
+from boolelab import classes, cli
 from boolelab.classes import ChiVerdict, SemanticVerdict
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
@@ -787,6 +788,30 @@ def test_json_error_report(capsys, argv, code, message):
     assert doc["command"] == next(a for a in argv if a in _COMMANDS)
     assert doc["data"] == {"error": message}
     assert doc["timing_ms"] >= 0
+
+
+def test_running_out_of_memory_exits_three(capsys, monkeypatch):
+    # what the handler was building lives in its frame, which the
+    # MemoryError's traceback holds; run keeps none of it
+    built = []
+
+    def exhaust(args, caps):
+        cells = set()  # a dict or a list takes no weak reference
+        built.append(weakref.ref(cells))
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "model-search", exhaust)
+    argv = ["model-search", COMMUTATIVE, "--size", "2"]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", "cap exceeded: out of memory\n")
+    assert run(["--json", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "cap exceeded: out of memory\n"
+    doc = json.loads(captured.out)
+    jsonschema.validate(doc, SCHEMA)
+    assert (doc["command"], doc["status"], doc["exit_code"]) == ("model-search", "error", 3)
+    assert doc["data"] == {"error": "out of memory"}
+    assert [cells() for cells in built] == [None, None]
 
 
 DIGITS = sys.get_int_max_str_digits()

@@ -48,6 +48,10 @@ def test_import_loads_no_submodule():
     assert loaded_after("import boolelab") == set()
 
 
+def test_problem_files_load_without_the_symbolic_layers():
+    assert loaded_after("import boolelab.problems") == {"errors", "horn", "problems", "terms"}
+
+
 def test_first_use_loads_only_the_home_module_and_its_imports():
     assert loaded_after("import boolelab\nboolelab.normalize") == {
         "errors",
