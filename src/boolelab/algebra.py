@@ -121,12 +121,12 @@ class FinitePartialAlgebra(Value):
         return hash((self.carrier, self.signature))
 
     @cached_property
-    def _layout(self) -> tuple[list, dict, dict]:
-        """(cells, base, index): the tables as one flat list of carrier
-        indices (None where undefined, binary tables row-major), each
-        symbol's first cell, and ``index``.  The first size^2 cells are
-        never defined; a symbol whose declared arity does not fit its use
-        in terms reads there."""
+    def _layout(self) -> tuple[list, dict]:
+        """(cells, base): the tables as one flat list of carrier indices
+        (None where undefined, binary tables row-major), and each
+        symbol's first cell.  The first size^2 cells are never defined;
+        a symbol whose declared arity does not fit its use in terms
+        reads there."""
         index = self.index
         cells: list = [None] * len(self.carrier) ** 2
         base = {}
@@ -140,7 +140,7 @@ class FinitePartialAlgebra(Value):
                 index[table[args]] if args in table else None
                 for args in itertools.product(self.carrier, repeat=k)
             )
-        return cells, base, index
+        return cells, base
 
     @cached_property
     def _entries_by_element(self) -> list:
@@ -236,7 +236,8 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
     t afresh; a caller that loops over assignments should compile once,
     as ``holds`` does.
     """
-    cells, base, index = algebra._layout
+    cells, base = algebra._layout
+    index = algebra.index
     names = variables(t)
     env = []
     for name in names:
@@ -278,7 +279,7 @@ def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisfaction
     UnknownSymbolError if the sentence uses an operation symbol the
     signature lacks, before any assignment is tried.
     """
-    cells, base, _ = algebra._layout
+    cells, base = algebra._layout
     size = len(algebra.carrier)
     names = sentence.vars
     k = len(names)

@@ -295,11 +295,15 @@ def _cmd_check(args, caps):
         lines.append(f"semantic: {_semantic_str(semantic)}")
         verdicts["semantic"] = vars(semantic)
     if args.trace is not None:
-        from .derivation import check_trace, parse_trace
+        from .derivation import TraceVerdict, check_trace, parse_trace
 
         with open(args.trace) as fh:
             trace = parse_trace(fh.read(), premisses=problem.premisses)
+        derived = trace.conclusion  # an empty trace raises: it derives nothing
         verdict = check_trace(trace, problem.mode, max_pairs=pair_cap(caps["max_vars"]))
+        if verdict.accepted and derived != problem.conclusion:
+            reason = f"the last step is not the conclusion {conclusion}"
+            verdict = TraceVerdict(False, len(trace.steps), reason)
         lines.append(f"trace ({problem.mode}): {_trace_str(verdict)}")
         verdicts["trace"] = {"mode": problem.mode, **vars(verdict)}
         symbolic.append(verdict.accepted)

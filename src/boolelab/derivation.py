@@ -33,6 +33,7 @@ from .polynomial import (
     _bit_terms,
     _differences,
     _fold,
+    _join,
     _Monomials,
     _pair_cap,
     _split,
@@ -137,16 +138,6 @@ def _bezout(values) -> tuple[int, list[int]]:
         coeffs[i] = t
         g = g2
     return g, coeffs
-
-
-def _join(zero: dict, one: dict, bit: int) -> dict:
-    """The {mask: coefficient} polynomial zero + x*(one - zero), for the
-    variable x of ``bit``: Boole's development, read backwards, of a
-    polynomial whose halves at x = 0 and x = 1 are the two given."""
-    joined = dict(zero)
-    _fold(joined, {k | bit: c for k, c in one.items()}, 1)
-    _fold(joined, {k | bit: c for k, c in zero.items()}, -1)
-    return joined
 
 
 def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Certificate | None:

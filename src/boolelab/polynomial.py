@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import sub
 from types import MappingProxyType
 
 from .errors import MAX_VARS, CapExceeded, Value
@@ -371,6 +370,16 @@ def _split(polys: list[dict]) -> tuple[int, list[dict], list[dict]]:
     return bit, zeros, ones
 
 
+def _join(zero: dict, one: dict, bit: int) -> dict:
+    """The {mask: coefficient} polynomial zero + x*(one - zero), for the
+    variable x of ``bit``: Boole's development, read backwards, of a
+    polynomial whose halves at x = 0 and x = 1 are the two given."""
+    joined = dict(zero)
+    _fold(joined, {k | bit: c for k, c in one.items()}, 1)
+    _fold(joined, {k | bit: c for k, c in zero.items()}, -1)
+    return joined
+
+
 def _vertex(names, i: int) -> dict[str, int]:
     """The vertex of index i as a {name: bit} dict in ``names`` order."""
     m = len(names)
@@ -394,39 +403,6 @@ class _Monomials(dict):
         return mono
 
 
-def _from_vertex_values(values: list, monos: _Monomials) -> MultilinearPoly:
-    """The polynomial over ``monos.names`` whose value at vertex index i
-    is values[i]; ``values`` is overwritten.
-
-    This is the Moebius transform on the subset lattice: the pass for
-    bit b subtracts from the value at every index with bit b set the
-    value at the index with that bit cleared, and after every pass the
-    value at index i is the coefficient of monos[i].  O(m * 2^m)
-    integer steps.  Each pass is a few slice subtractions rather than
-    one Python step per index: strided slices (one per offset below
-    the step) while the step is at most sqrt(2^m), contiguous blocks
-    (one per pair of blocks) above it, so no pass needs more than about
-    2^(m/2) slice operations.
-    """
-    size = len(values)
-    step = 1
-    while step < size:
-        span = 2 * step
-        if step * step <= size:
-            for low in range(step):
-                high = low + step
-                values[high::span] = map(sub, values[high::span], values[low::span])
-        else:
-            for low in range(0, size, span):
-                high = low + step
-                values[high : high + step] = map(
-                    sub, values[high : high + step], values[low:high]
-                )
-        step = span
-    coeffs = {monos[i]: c for i, c in enumerate(values) if c}
-    return MultilinearPoly(monos.names, coeffs)
-
-
 def _vertex_values(p: MultilinearPoly) -> list[int]:
     """p's value at every vertex index over p.vars, in vertex order."""
     terms = _bit_terms(p.vars, [p])[0].items()
@@ -439,10 +415,20 @@ def expand(p: MultilinearPoly) -> ConstituentExpansion:
 
 
 def unexpand(e: ConstituentExpansion) -> MultilinearPoly:
-    """Rebuild the polynomial from its vertex values; inverse to expand
-    (the Moebius transform of ``_from_vertex_values``)."""
-    values = [e.coeff_at[v] for v in vertices(e.vars)]
-    return _from_vertex_values(values, _Monomials(e.vars))
+    """Rebuild the polynomial from its vertex values; inverse to expand.
+
+    Boole's development read backwards, one variable at a time: the
+    table starts as one constant {mask: coefficient} polynomial per
+    vertex index, and each pass joins the neighbouring polynomials that
+    differ in the lowest bit left (``_join``), halving the table.
+    O(m * 2^m) dict steps."""
+    table = [{0: c} if c else {} for c in map(e.coeff_at.__getitem__, vertices(e.vars))]
+    bit = 1
+    while len(table) > 1:
+        table = [_join(zero, one, bit) for zero, one in zip(table[::2], table[1::2])]
+        bit <<= 1
+    monos = _Monomials(e.vars)
+    return MultilinearPoly(e.vars, {monos[k]: c for k, c in table[0].items()})
 
 
 INTERPRETABLE = "interpretable"

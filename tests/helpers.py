@@ -48,7 +48,6 @@ from boolelab.polynomial import (
     OracleVerdict,
     _bit_terms,
     _differences,
-    _from_vertex_values,
     _Monomials,
     check_var_cap,
     equation_difference,
@@ -500,7 +499,7 @@ def reference_semantic_consequence(premisses, conclusion, max_n: int = 3):
 
 def reference_holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> SatisfactionVerdict:
     """Dom-relative satisfaction by listing all |A|^k assignments."""
-    cells, base, _ = algebra._layout
+    cells, base = algebra._layout
     size = len(algebra.carrier)
     programs = [_compile(t, sentence.vars, base) for t in sentence.all_terms()]
     n_ante = len(sentence.antecedents)
@@ -711,7 +710,7 @@ def reference_compile(t: Term, names: tuple, base: dict, max_sum: int | None = N
 # ------------------------------------ reference vertex reconstruction
 #
 # The dict-per-vertex ``boole_oracle`` and the constituent-sum
-# ``unexpand``, which the split tree and the Moebius transform must
+# ``unexpand``, which the split tree and the joins of ``unexpand`` must
 # match exactly, down to the witness's key order; the two-pass and the
 # one-walk ``certify_consequence`` that the split tree replaced, whose
 # multiplier it must keep; and the per-vertex "first unit + restrict"
@@ -828,9 +827,18 @@ def vertex_walk_certify_consequence(premisses, conclusion, max_vars: int = 20):
         for values, c in zip(cofactor_values, coeffs):
             values[i] = c * scale
     monos = _Monomials(names)
-    return Certificate(
-        n, tuple(_from_vertex_values(values, monos) for values in cofactor_values)
-    )
+    cofactors = []
+    for values in cofactor_values:
+        # the Moebius transform in place, one pass per bit: values[i]
+        # ends as the coefficient of monos[i]
+        bit = 1
+        while bit < len(values):
+            for i in range(len(values)):
+                if i & bit:
+                    values[i] -= values[i ^ bit]
+            bit <<= 1
+        cofactors.append(MultilinearPoly(names, {monos[i]: c for i, c in enumerate(values) if c}))
+    return Certificate(n, tuple(cofactors))
 
 
 def _ref_restrict(var_names, pinned):

@@ -20,7 +20,7 @@ from boolelab.derivation import certify_consequence, verify_certificate
 from boolelab.errors import CapExceeded
 from boolelab.horn import horn_sentence
 from boolelab.polynomial import boole_oracle
-from boolelab.terms import parse
+from boolelab.terms import Add, Mul, Sub, parse
 from helpers import (
     chain,
     random_ground_argument,
@@ -337,3 +337,37 @@ def test_rule_of_zero_and_one():
         )
         premisses, conclusion, witness = discrepancies[0]
         print(f"  premisses={premisses} conclusion={conclusion} vertex={witness}")
+
+
+def _subterms(t) -> list:
+    """The distinct subterms of t, t itself included, in walk order."""
+    found, todo = {}, [t]
+    while todo:
+        s = todo.pop()
+        found[s] = None
+        if isinstance(s, (Add, Sub, Mul)):
+            todo += (s.right, s.left)
+    return list(found)
+
+
+def test_p1_verdict_is_the_oracle_with_every_subterm_idempotent():
+    """The corrected rule of 0 and 1: the P(1) verdict is the oracle's
+    once every subterm s of every side carries the premiss s*s = s,
+    which holds at a vertex exactly when s is defined there as a class.
+    Verdicts and witnesses agree, the oracle's bit b read as the subset
+    ``subset_name(b)`` of the one point."""
+    rng = random.Random(11)
+    invalid = 0
+    for _ in range(3000):
+        premisses, conclusion = random_ground_argument(rng)
+        sides = [side for eq in (*premisses, conclusion) for side in eq]
+        subterms = dict.fromkeys(s for side in sides for s in _subterms(side))
+        guards = tuple((Mul(s, s), s) for s in subterms)
+        oracle = boole_oracle((*premisses, *guards), conclusion)
+        semantic = semantic_consequence(premisses, conclusion, max_n=1)
+        assert semantic.valid == oracle.valid, (premisses, conclusion)
+        if not oracle.valid:
+            invalid += 1
+            witness = {name: subset_name(bit) for name, bit in oracle.witness.items()}
+            assert semantic.witness == witness, (premisses, conclusion)
+    assert invalid == 298

@@ -34,6 +34,7 @@ from helpers import modules_after, strip_timing
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 BARBARA = str(PKG_ROOT / "problems" / "barbara.prob")
+BARBARA_TRACE = str(PKG_ROOT / "problems" / "barbara.trace")
 COMMUTATIVE = str(PKG_ROOT / "problems" / "commutative.thy")
 HAILPERIN_THY = str(PKG_ROOT / "problems" / "hailperin.thy")
 
@@ -246,6 +247,61 @@ def test_check_trace_rejected_in_hailperin_mode(capsys, tmp_path):
     )
     assert code == 1
     assert "trace (hailperin): rejected at step 1" in out
+
+
+def _trace_verdict(capsys, problem, trace, *argv):
+    """The trace line and exit code of ``check --trace`` in text, after
+    checking that ``--json`` gives the same verdict record."""
+    argv = ["check", str(problem), *argv, "--trace", str(trace)]
+    code, doc = invoke_json(capsys, argv)
+    text_code, out = invoke(capsys, argv)
+    assert text_code == code
+    assert "disagreement" not in doc["data"]
+    assert "note:" not in out
+    verdict = doc["data"]["verdicts"]["trace"]
+    line = next(l for l in out.splitlines() if l.startswith("trace ("))
+    assert line.endswith(
+        "accepted" if verdict["accepted"] else f"rejected at step {verdict['step']}: {verdict['reason']}"
+    )
+    return code, line
+
+
+def test_check_trace_must_end_in_the_conclusion(capsys, tmp_path):
+    # the trace derives x = x, not the problem's x = 0
+    problem = tmp_path / "zero.prob"
+    problem.write_text("conclude: x = 0\nmode: hailperin\nmax_n: 1\n")
+    trace = tmp_path / "refl.trace"
+    trace.write_text("1: x = x [Refl]\n")
+    assert _trace_verdict(capsys, problem, trace, "--mode", "semantic") == (
+        1,
+        "trace (hailperin): rejected at step 1: the last step is not the conclusion x = 0",
+    )
+
+
+def test_check_barbara_trace(capsys, tmp_path):
+    assert _trace_verdict(capsys, BARBARA, BARBARA_TRACE) == (0, "trace (hailperin): accepted")
+    # without its last step the trace derives an equation, but not Barbara's
+    short = tmp_path / "short.trace"
+    short.write_text("".join(Path(BARBARA_TRACE).read_text().splitlines(True)[:7]))
+    assert _trace_verdict(capsys, BARBARA, short, "--mode", "oracle") == (
+        1,
+        "trace (hailperin): rejected at step 7: the last step is not the conclusion x - x*z = 0",
+    )
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_check_empty_trace_is_an_error(capsys, tmp_path, json_flag):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    assert run([*json_flag, "check", BARBARA, "--trace", str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty trace has no conclusion\n"
+    if json_flag:
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["data"] == {"error": "empty trace has no conclusion"}
+    else:
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["expand", "interpret"])
@@ -529,14 +585,12 @@ def test_check_normalizes_under_the_pair_cap(capsys, tmp_path, mode):
     [
         ["normalize", "x"],
         *(["check", BARBARA, "--mode", m] for m in ("oracle", "certificate", "semantic", "all")),
-        ["check", BARBARA, "--trace", "refl.trace"],
+        ["check", BARBARA, "--trace", BARBARA_TRACE],
     ],
     ids=["normalize", "oracle", "certificate", "semantic", "all", "trace"],
 )
-def test_a_variable_cap_of_any_length_answers(capsys, tmp_path, monkeypatch, argv):
+def test_a_variable_cap_of_any_length_answers(capsys, monkeypatch, argv):
     # a 20-digit cap allows every product the default cap allows
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "refl.trace").write_text("1: x = x [Refl]\n")
     code, out = invoke(capsys, argv)
     assert code == 0
     huge_code, huge_out = invoke(capsys, ["--max-vars", "9" * 20, *argv])
@@ -967,8 +1021,9 @@ def _nested_sum(depth, leaf="x"):
 
 
 def _deep_trace_steps(depth):
-    """(lhs, rhs, rule) texts of a nine-step sigma1 trace that uses every
-    rule on terms of the given depth; its premiss is the deep sum."""
+    """(lhs, rhs, rule) texts of a ten-step sigma1 trace that uses every
+    rule on terms of the given depth and ends in its problem's
+    conclusion x = x; its premiss is the deep sum."""
     deep = _nested_sum(depth)
     context = _nested_sum(depth, leaf="HOLE")
     half = _nested_sum(depth - 1)
@@ -982,6 +1037,7 @@ def _deep_trace_steps(depth):
         (deep, deep, f"Congruence 6 {context}"),
         (f"({half})*({half})", half, f"DeltaIdempotence {half}"),
         (deep, deep, "Premiss"),
+        ("x", "x", "Refl"),
     ]
 
 

@@ -296,12 +296,26 @@ def test_expand_unexpand_inverse_random():
         assert expand(unexpand(e)) == e
 
 
+def test_expand_unexpand_inverse_sparse_wide():
+    """Polynomials of up to 20 random monomials over 10 and 12
+    variables come back from their 2^m vertex values."""
+    rng = random.Random(1854)
+    for m in (10, 12):
+        names = tuple(f"v{i:02d}" for i in range(m))
+        for _ in range(4):
+            monos = {frozenset(rng.sample(names, rng.randint(0, m))) for _ in range(rng.randint(1, 20))}
+            p = MultilinearPoly(names, {mono: rng.choice((-3, -1, 1, 2)) for mono in monos})
+            q = unexpand(expand(p))
+            assert q == p
+            assert q.vars == p.vars
+
+
 def test_unexpand_matches_constituent_sum():
     # variables deliberately out of sorted order: bit k of a vertex
     # belongs to the k-th listed variable, not the k-th in sorted order.
-    # From m = 3 on the transform's passes use both strided and
-    # contiguous slices; above m = 6 only a sample of the one-hot
-    # tables is checked, to keep the constituent sums cheap.
+    # The m passes join at one variable each, from the last listed to
+    # the first; above m = 6 only a sample of the one-hot tables is
+    # checked, to keep the constituent sums cheap.
     rng = random.Random(1937)
     names = ("f", "b", "e", "a", "d", "c", "i", "g", "h")
     checked = 0
