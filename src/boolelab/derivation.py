@@ -125,18 +125,11 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _bezout(values) -> tuple[int, list[int]]:
     """gcd of the values plus integer coefficients realizing it."""
     g = 0
-    coeffs = [0] * len(values)
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            coeffs[i] = 1 if v > 0 else -1
-            continue
-        g2, s, t = _ext_gcd(g, v)
+    coeffs = []
+    for v in values:
+        g, s, t = _ext_gcd(g, v)
         coeffs = [c * s for c in coeffs]
-        coeffs[i] = t
-        g = g2
+        coeffs.append(t)
     return g, coeffs
 
 
@@ -146,19 +139,17 @@ def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Cert
 
     The search runs on the oracle's split tree (``_least_witness``):
     each node restricts the conclusion difference f and the premiss
-    differences g_j to a subcube, and it is a leaf when the cofactors
-    there follow at once:
+    differences g_j to a subcube.  It splits only when f is not 0 and a
+    g_j that is not constant comes before the first g_j that is 1 or -1
+    (a unit).  Every other node is a leaf with one rule: each cofactor
+    is 0, or free if its g_j is 0, except those that f sets when it is
+    not 0.  A unit sets n*f/g_j at its index; with no unit, every g_j is
+    a constant, and their Bezout coefficients, scaled by n*f/d for
+    their gcd d, set the cofactors whose coefficient is not 0, or the
+    search returns None when d is 0, since f is not.  A free cofactor
+    is one the identity does not constrain there.
 
-    - f is 0: each cofactor is 0, or free if its g_j is 0;
-    - the first g_j that is 1 or -1, with every earlier one a constant,
-      takes n*f/g_j, and the others are 0 (free if their g_j is 0);
-    - every g_j is a constant: their Bezout coefficients, scaled by
-      n*f/d for their gcd d (free if their g_j is 0), or None when d is
-      0, since f is not.
-
-    A free cofactor is one the identity does not constrain there.
-
-    Otherwise the node splits on its highest variable (``_split``), and
+    A node that splits does so on its highest variable (``_split``), and
     each cofactor is rebuilt from its two halves by the restrict
     operator of Coudert and Madre: a free half takes the other one,
     equal halves drop the variable, and otherwise ``_join`` applies
@@ -192,22 +183,30 @@ def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Cert
             continue
         while True:
             f, *gs = polys
-            if not f:
-                done.append([{} if g else None for g in gs])
-                break
-            if 0 in f:
+            v = 0  # the first unit, or 0 for none
+            if f:
+                if 0 in f:
+                    for g in gs:
+                        if 0 in g:
+                            break
+                    else:
+                        return None  # the least vertex below is a witness
+                values = []  # the constants before the first unit or non-constant
                 for g in gs:
-                    if 0 in g:
+                    v = g[0] if len(g) == 1 and 0 in g else None if g else 0
+                    if v is None or v == 1 or v == -1:
                         break
+                    values.append(v)
                 else:
-                    return None  # the least vertex below is a witness
-            values = []  # the constants before the first unit or non-constant
-            for g in gs:
-                v = g[0] if len(g) == 1 and 0 in g else None if g else 0
-                if v is None or v == 1 or v == -1:
-                    break
-                values.append(v)
-            else:
+                    v = 0  # every g_j is a constant, none of them a unit
+                if v is None:
+                    bit, polys, ones = _split(polys)
+                    todo += (bit, ones)
+                    continue
+            cofs = [{} if g else None for g in gs]
+            if v:  # n*f/v is v*n*f for v = 1 or -1
+                cofs[len(values)] = {k: v * n * c for k, c in f.items()}
+            elif f:
                 d, coeffs = _bezout(values)
                 if d == 0:
                     return None
@@ -217,28 +216,16 @@ def certify_consequence(premisses, conclusion, max_vars: int = MAX_VARS) -> Cert
                     scale = math.lcm(n, grow) // n
                     n *= scale
                     done = [
-                        [c and {k: scale * b for k, b in c.items()} for c in cofs]
-                        for cofs in done
+                        [c and {k: scale * b for k, b in c.items()} for c in leaf]
+                        for leaf in done
                     ]
                 q = n // grow  # n*c/d is q*(c/content) for each coefficient c of f
-                cofs = []
-                for v, a in zip(values, coeffs):
-                    if not v:
-                        cofs.append(None)
-                    elif a:
+                for j, a in enumerate(coeffs):
+                    if a:
                         a *= q
-                        cofs.append({k: a * (c // content) for k, c in f.items()})
-                    else:
-                        cofs.append({})
-                done.append(cofs)
-                break
-            if v is not None:  # a unit
-                cofs = [{} if g else None for g in gs]
-                cofs[len(values)] = {k: v * n * c for k, c in f.items()}
-                done.append(cofs)
-                break
-            bit, polys, ones = _split(polys)
-            todo += (bit, ones)
+                        cofs[j] = {k: a * (c // content) for k, c in f.items()}
+            done.append(cofs)
+            break
     monos = _Monomials(names)
     # a premiss difference of 0 is free at every leaf, so its cofactor is 0
     cofactors = (

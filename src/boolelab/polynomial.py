@@ -122,9 +122,8 @@ class MultilinearPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            coeffs = {m: c * other for m, c in self._coeffs.items()} if other else {}
-            return MultilinearPoly._of(self.vars, coeffs)
-        if not isinstance(other, MultilinearPoly):
+            other = MultilinearPoly.const(other)
+        elif not isinstance(other, MultilinearPoly):
             return NotImplemented
         coeffs = _product(self._coeffs, other._coeffs)
         return MultilinearPoly._of(tuple(sorted({*self.vars, *other.vars})), coeffs)

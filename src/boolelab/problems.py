@@ -31,11 +31,10 @@ class Problem(Value):
 def parse_problem(text: str) -> Problem:
     premisses = []
     conclusion = None
-    mode = HAILPERIN
-    max_n = 3
+    given = {}  # the directives the file sets; Problem supplies the rest
 
     def read(line: str) -> None:
-        nonlocal conclusion, mode, max_n
+        nonlocal conclusion
         key, sep, value = line.partition(":")
         if not sep:
             raise ValueError("expected 'key: value'")
@@ -52,15 +51,16 @@ def parse_problem(text: str) -> Problem:
         elif key == "mode":
             if value not in MODES:
                 raise ValueError(f"mode must be one of {MODES}")
-            mode = value
+            given["mode"] = value
         elif key == "max_n":
             max_n = parse_int(value)
             if max_n < 1:
                 raise ValueError("max_n must be at least 1")
+            given["max_n"] = max_n
         else:
             raise ValueError(f"unknown key {key!r}")
 
     read_lines(text, read)
     if conclusion is None:
         raise ValueError("missing conclude line")
-    return Problem(tuple(premisses), conclusion, mode, max_n)
+    return Problem(tuple(premisses), conclusion, **given)

@@ -147,6 +147,32 @@ def test_check_json_verdicts(capsys):
     assert "disagreement" not in doc["data"]
 
 
+def test_check_a_certificate_with_a_multiplier(capsys, tmp_path):
+    # 2x = 0 yields x = 0 only after dividing by 2: the leaf's premiss
+    # value 2 has Bezout coefficient 1, so n is 2
+    problem = tmp_path / "twice.prob"
+    problem.write_text("premiss: 2*x = 0\nconclude: x = 0\n")
+    argv = ["check", str(problem), "--mode", "certificate"]
+    code, out = invoke(capsys, argv)
+    assert code == 0
+    assert strip_timing(out).splitlines()[1:] == [
+        "premiss: 2*x = 0",
+        "conclusion: x = 0",
+        "certificate: verified (n=2)",
+        "cofactor 1: 1",
+    ]
+    code, doc = invoke_json(capsys, argv)
+    assert code == 0
+    assert doc["data"]["verdicts"] == {
+        "certificate": {
+            "produced": True,
+            "verified": True,
+            "n": 2,
+            "cofactors": [[{"monomial": [], "coeff": 1}]],
+        }
+    }
+
+
 @pytest.mark.parametrize(
     "where, bad",
     [("oracle", {"valid": "yes"}), ("oracle", {"witness": 1}), ("certificate", {"n": 0})],

@@ -1,9 +1,16 @@
 """Problem-file parsing."""
 
+from pathlib import Path
+
 import pytest
 
+from boolelab.counterexamples import barbara_conclusion, barbara_premisses
+from boolelab.horn import parse_theory
+from boolelab.models import hailperin_laws
 from boolelab.problems import Problem, parse_problem
 from boolelab.terms import parse
+
+STOCK = Path(__file__).resolve().parents[1] / "problems"
 
 BARBARA_TEXT = """\
 # a classic
@@ -65,3 +72,9 @@ def test_max_n_is_a_digit_string():
 def test_missing_conclusion():
     with pytest.raises(ValueError, match="conclude"):
         parse_problem("premiss: x = 0\n")
+
+
+def test_stock_files_match_the_library_fixtures():
+    barbara = parse_problem((STOCK / "barbara.prob").read_text())
+    assert barbara == Problem(barbara_premisses(), barbara_conclusion())
+    assert parse_theory((STOCK / "hailperin.thy").read_text()) == hailperin_laws(4)

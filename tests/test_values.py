@@ -13,8 +13,14 @@ from pathlib import Path
 import pytest
 
 import boolelab
-from boolelab.algebra import CheckVerdict, FinitePartialAlgebra, Presentation, SatisfactionVerdict
-from boolelab.classes import ChiVerdict, ClassAlgebra, IntVector, SemanticVerdict
+from boolelab.algebra import (
+    UNDEFINED,
+    CheckVerdict,
+    FinitePartialAlgebra,
+    Presentation,
+    SatisfactionVerdict,
+)
+from boolelab.classes import ChiVerdict, ClassAlgebra, IntVector, SemanticVerdict, build_pu
 from boolelab.derivation import (
     Certificate,
     CertificateCheck,
@@ -221,6 +227,36 @@ def test_verdicts_agree_with_the_reference_dataclasses():
         assert hash(new) == hash(ref)
     with pytest.raises(TypeError, match="unhashable"):
         hash(pairs[1][0])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(SatisfactionVerdict, "holds", id="SatisfactionVerdict"),
+        pytest.param(CheckVerdict, "ok", id="CheckVerdict"),
+        pytest.param(lambda ok: ChiVerdict(ok, 4), "ok", id="ChiVerdict"),
+        pytest.param(lambda valid: SemanticVerdict(valid, 3), "valid", id="SemanticVerdict"),
+        pytest.param(CertificateCheck, "verified", id="CertificateCheck"),
+        pytest.param(TraceVerdict, "accepted", id="TraceVerdict"),
+        pytest.param(OracleVerdict, "valid", id="OracleVerdict"),
+        pytest.param(
+            lambda found: EmbedSearchResult(1, *((build_pu(1), {}) if found else ())),
+            "found",
+            id="EmbedSearchResult",
+        ),
+    ],
+)
+def test_a_verdict_is_true_exactly_when_its_flag_is(make, field, flag):
+    record = make(flag)
+    assert getattr(record, field) is flag
+    assert bool(record) is flag
+
+
+def test_undefined_is_false_and_prints_its_name():
+    assert bool(UNDEFINED) is False
+    assert repr(UNDEFINED) == "UNDEFINED"
+    assert type(UNDEFINED)() is UNDEFINED
 
 
 def test_value_fields_are_read_only_and_defaults_apply():
