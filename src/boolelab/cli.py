@@ -34,9 +34,7 @@ _CAPS = (
 )
 
 
-def _witness_str(witness: dict | None) -> str:
-    if witness is None:
-        return ""
+def _witness_str(witness: dict) -> str:
     return ", ".join(f"{k} -> {v}" for k, v in sorted(witness.items()))
 
 

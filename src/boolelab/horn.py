@@ -64,14 +64,11 @@ class HornSentence(Value):
     consequent: object
 
     def __post_init__(self):
+        if self.consequent is FALSUM and not self.antecedents:
+            raise ValueError("a falsum consequent needs at least one antecedent")
         used: set[str] = set()
-        for eq in self.antecedents:
-            used |= equation_variables(eq)
-        if self.consequent is FALSUM:
-            if not self.antecedents:
-                raise ValueError("a falsum consequent needs at least one antecedent")
-        else:
-            used |= equation_variables(self.consequent)
+        for t in self.all_terms():
+            used.update(variables(t))
         if self.vars is None:
             object.__setattr__(self, "vars", tuple(sorted(used)))
         elif not used <= set(self.vars):

@@ -3,11 +3,12 @@ embedding search into those models.
 
 The enumeration order is canonical and documented: operations are
 ordered constants first, then the rest, each group by first occurrence
-in the theory (a partial algebra's own signature, when one is supplied,
-comes ahead of theory-only symbols); within an operation the argument
-tuples run row-major in carrier order; candidate values are tried in
-carrier order.  The first completed table in depth-first order is the
-model returned, which makes every search result reproducible.
+in a preorder walk of the theory's terms (a partial algebra's own
+signature, when one is supplied, comes ahead of theory-only symbols);
+within an operation the argument tuples run row-major in carrier order;
+candidate values are tried in carrier order.  The first completed table
+in depth-first order is the model returned, which makes every search
+result reproducible.
 
 The search fills one table cell (a slot) at a time and prunes a branch
 as soon as some ground instance of a sentence is violated.  Each open
@@ -21,8 +22,9 @@ models are those of re-checking every open instance after every slot.
 
 Terms are compiled once per sentence by the evaluator in ``algebra``
 (``_compile``/``_eval``, see that module) against the flat cell list
-the search fills; a ground instance is its sentence's programs plus the
-elements of its variables.  Integer literals outside {0, 1} are
+the search fills; a ground instance is its sentence's equations,
+consequent first, plus the elements of its variables, and it is settled
+once one equation settles it.  Integer literals outside {0, 1} are
 searched as repeated addition of the unit constant, since a total model
 interprets only the ring signature; literals above ``MAX_LITERAL`` are
 refused before any instance is built.
@@ -43,38 +45,26 @@ as n - 1 additions of the unit, one table read each, so the cap bounds
 the program a sentence compiles to."""
 
 
-def _walk_ops(t: Term, out: list):
-    """Record (name, arity) first occurrences, preorder, literals >= 2
-    contributing the unit constant and addition.  The walk is iterative."""
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, IntLit):
-            if node.value in (0, 1):
-                entries = ((str(node.value), 0),)
-            else:
-                entries = (("1", 0), ("+", 2))
-        elif isinstance(node, (Add, Sub, Mul)):
-            entries = ((_OP_NAMES[type(node)], 2),)
-            todo.append(node.right)
-            todo.append(node.left)
-        else:
-            continue
-        for entry in entries:
-            if entry not in out:
-                out.append(entry)
-
-
 def signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
-    """Operation symbols used by the sentences, constants first, in
-    first-occurrence order; ``base`` symbols are kept in front."""
-    found: list[tuple[str, int]] = list(base)
+    """Operation symbols used by the sentences, constants first, each
+    group in order of first occurrence in a preorder walk of the
+    sentences' terms; ``base`` symbols are kept in front.  A literal
+    n >= 2 contributes the unit constant and addition."""
+    found = dict.fromkeys(base)
     for s in sentences:
-        for t in s.all_terms():
-            _walk_ops(t, found)
-    constants = [e for e in found if e[1] == 0]
-    rest = [e for e in found if e[1] != 0]
-    return tuple(constants + rest)
+        todo = s.all_terms()[::-1]
+        while todo:
+            node = todo.pop()
+            if node.__class__ is IntLit:
+                if node.value < 2:
+                    found[(str(node.value), 0)] = None
+                else:
+                    found[("1", 0)] = None
+                    found[("+", 2)] = None
+            elif node.__class__ in _OP_NAMES:
+                found[(_OP_NAMES[node.__class__], 2)] = None
+                todo += (node.right, node.left)
+    return tuple(sorted(found, key=lambda entry: entry[1] != 0))
 
 
 # _decide's verdicts besides a blocking cell index (always >= 0)
@@ -86,54 +76,44 @@ def _decide(instance, cells: list, size: int) -> int:
     """_SATISFIED, _VIOLATED, or the index of a cell that must be filled
     before the verdict can change to violated.
 
-    Any undefined cell a term's evaluation stops at leaves that term
-    undefined, and so the instance unviolated, until the cell is filled;
-    the latest such cell in slot order is returned, which postpones the
-    next re-check the most.
+    An equation whose sides are both defined settles the instance when
+    it rules out a counter-instance: equal sides of the consequent or
+    unequal sides of an antecedent.  Any undefined cell a side's
+    evaluation stops at leaves that equation, and so the instance, open
+    until the cell is filled; the latest such cell in slot order is
+    returned, which postpones the next re-check the most.
     """
-    antecedents, consequent, env = instance
+    equations, env = instance
     blocked = -1
-    if consequent is not None:
-        lv = _eval(consequent[0], env, cells, size)
-        rv = _eval(consequent[1], env, cells, size)
-        if lv >= 0 and rv >= 0:
-            if lv == rv:
+    for left, right, test in equations:
+        a = _eval(left, env, cells, size)
+        b = _eval(right, env, cells, size)
+        if a >= 0 and b >= 0:
+            if (a == b) is not test:
                 return _SATISFIED
         else:
-            blocked = max(~lv, ~rv)
-    for gl, gr in antecedents:
-        av = _eval(gl, env, cells, size)
-        bv = _eval(gr, env, cells, size)
-        if av >= 0 and bv >= 0:
-            if av != bv:
-                return _SATISFIED
-        else:
-            blocked = max(blocked, ~av, ~bv)
+            blocked = max(blocked, ~a, ~b)
     return _VIOLATED if blocked < 0 else blocked
 
 
 def _instances(sentences, base: dict, size: int):
-    """Every ground instance as (antecedents, consequent, env): the
-    sentence's compiled programs, shared by all its instances, and the
-    elements of its variables.  All sentences compile before any
-    instance is built."""
-    def pairs(equations, names):
-        return tuple(
-            (_compile(l, names, base, MAX_LITERAL), _compile(r, names, base, MAX_LITERAL))
-            for l, r in equations
-        )
-
-    compiled = [
-        (
-            pairs(s.antecedents, s.vars),
-            None if s.consequent is FALSUM else pairs((s.consequent,), s.vars)[0],
-            len(s.vars),
-        )
-        for s in sentences
-    ]
-    for antecedents, consequent, arity in compiled:
+    """Every ground instance as (equations, env): the sentence's
+    equations compiled once and shared by all its instances, and the
+    elements of its variables.  An equation is (left, right, test) with
+    test True where a counter-instance needs the sides equal (an
+    antecedent) and False where it needs them unequal (the consequent);
+    the consequent, the usually decisive check, comes first.  All
+    sentences compile before any instance is built."""
+    compiled = []
+    for s in sentences:
+        programs = [_compile(t, s.vars, base, MAX_LITERAL) for t in s.all_terms()]
+        sides = 2 * len(s.antecedents)
+        equations = [(programs[i], programs[i + 1], i < sides) for i in range(0, len(programs), 2)]
+        equations.sort(key=lambda e: e[2])  # stable: the consequent moves to the front
+        compiled.append((tuple(equations), len(s.vars)))
+    for equations, arity in compiled:
         for env in itertools.product(range(size), repeat=arity):
-            yield antecedents, consequent, env
+            yield equations, env
 
 
 def enumerate_total_models(sentences, size: int, base_signature=()):

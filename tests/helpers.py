@@ -2,20 +2,17 @@
 
 Everything here is deliberately written against the Term constructors
 only, so expected values never route through the code under test.  The
-exceptions are the reference model search, which takes its operation
-order from ``models.signature_of`` because that order is what the
-differential tests hold fixed, the reference semantic check, which
-takes its class algebras from ``classes.build_pu``, the reference
-oracle and vertex reconstruction, which compute with
-``MultilinearPoly`` and take their local coefficients from
-``derivation._bezout``, the replaced one-walk certify, which runs on
-the package's vertex-index helpers, the reference normalizer, which
-computes with ``MultilinearPoly``'s operators, the replaced
-assignment loop of ``holds``, which runs the package's compiled
+exceptions are the reference semantic check, which takes its class
+algebras from ``classes.build_pu``, the reference oracle and vertex
+reconstruction, which compute with ``MultilinearPoly`` and take their
+local coefficients from ``derivation._bezout``, the replaced one-walk
+certify, which runs on the package's vertex-index helpers, the reference
+normalizer, which computes with ``MultilinearPoly``'s operators, the
+replaced assignment loop of ``holds``, which runs the package's compiled
 programs, the recursive free-ring normalizer, which multiplies with
 ``derivation``'s ``_rp_mul`` and adds with its own ``_rp_add``, and the
-replaced compiler, which reads ``algebra``'s operation names; their loops are
-independent.
+replaced compiler, which reads ``algebra``'s operation names; their
+loops are independent.
 """
 
 import dataclasses
@@ -41,7 +38,6 @@ from boolelab.classes import build_pu
 from boolelab.derivation import Certificate, _bezout, _rp_mul
 from boolelab.errors import CapExceeded
 from boolelab.horn import FALSUM, HornSentence
-from boolelab.models import signature_of
 from boolelab.polynomial import (
     ConstituentExpansion,
     MultilinearPoly,
@@ -219,6 +215,21 @@ def random_plus_sentence(rng: random.Random) -> HornSentence:
     return HornSentence(names, antecedents, equation())
 
 
+def random_ring_sentence(rng: random.Random) -> HornSentence:
+    """A small universal Horn sentence over +, -, * and the literals
+    0-3, with up to two antecedents and, when it has one, sometimes a
+    falsum consequent."""
+    names = ("x", "y")
+    def equation():
+        return (
+            random_term(rng, names, rng.randint(1, 3)),
+            random_term(rng, names, rng.randint(1, 2)),
+        )
+    antecedents = tuple(equation() for _ in range(rng.randint(0, 2)))
+    consequent = FALSUM if antecedents and rng.random() < 0.3 else equation()
+    return HornSentence(names, antecedents, consequent)
+
+
 def random_term_plus(rng: random.Random, names, depth: int) -> Term:
     # addition only, so every generated sentence stays in the signature
     # of the small-algebra enumeration
@@ -314,6 +325,35 @@ def _ref_ops_of_ground(g, out: set):
         _ref_ops_of_ground(g[2][1], out)
 
 
+def reference_signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
+    """``models.signature_of`` by a recursive preorder walk of each
+    antecedent, then the consequent, with a list for the symbols seen."""
+    found = list(base)
+
+    def note(entry):
+        if entry not in found:
+            found.append(entry)
+
+    def walk(t):
+        if isinstance(t, IntLit):
+            if t.value in (0, 1):
+                note((str(t.value), 0))
+            else:
+                note(("1", 0))
+                note(("+", 2))
+        elif isinstance(t, (Add, Sub, Mul)):
+            note(({Add: "+", Sub: "-", Mul: "*"}[type(t)], 2))
+            walk(t.left)
+            walk(t.right)
+
+    for s in sentences:
+        equations = s.antecedents + (() if s.consequent is FALSUM else (s.consequent,))
+        for lhs, rhs in equations:
+            walk(lhs)
+            walk(rhs)
+    return tuple([e for e in found if e[1] == 0] + [e for e in found if e[1] != 0])
+
+
 class _RefInstance:
     def __init__(self, antecedents, consequent):
         self.antecedents = antecedents
@@ -352,7 +392,7 @@ class _RefInstance:
 def reference_total_models(sentences, size: int, base_signature=()):
     """Every total model, in the canonical order, by the op-filtered
     re-check of all open instances after each filled slot."""
-    signature = signature_of(sentences, base=base_signature)
+    signature = reference_signature_of(sentences, base=base_signature)
     slots = [
         (op, args)
         for op, k in signature

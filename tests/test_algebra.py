@@ -614,6 +614,12 @@ def test_operation_arity_over_the_digit_limit_names_its_line():
     assert str(info.value) == f"line 2: an integer literal exceeds the limit of {limit} digits"
 
 
+def test_an_algebra_is_not_equal_to_a_non_algebra():
+    p = intro_algebra()
+    assert p.__eq__(p.tables) is NotImplemented
+    assert p != p.tables
+
+
 def test_validation_rejects_bad_tables():
     with pytest.raises(ValueError):
         FinitePartialAlgebra((), (("+", 2),), {})

@@ -126,6 +126,11 @@ def test_int_vector_arithmetic():
     assert IntVector.ones(2) == IntVector((1, 1))
 
 
+def test_int_vectors_of_different_lengths_do_not_combine():
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        IntVector((1, 0)) + IntVector((1,))
+
+
 def test_chi_embedding_verified():
     expected_entries = {1: 12, 2: 36, 3: 120}
     for n, entries in expected_entries.items():

@@ -36,7 +36,7 @@ from boolelab.derivation import (
     ring_normalize,
     verify_certificate,
 )
-from boolelab.errors import CapExceeded
+from boolelab.errors import CapExceeded, Value
 from boolelab.polynomial import MultilinearPoly, boole_oracle, normalize
 from boolelab.horn import identity, parse_equation
 from boolelab.terms import Add, IntLit, Mul, Sub, Var, count_var, parse, substitute, variables
@@ -496,6 +496,15 @@ def test_every_rule_class_round_trips_through_its_tag():
     text = format_trace(trace)
     assert [line.split("[")[1].split()[0].rstrip("]") for line in text.splitlines()] == list(_RULES)
     assert parse_trace(text) == trace
+
+
+def test_a_look_alike_rule_is_not_formatted():
+    class Refl(Value):
+        pass
+
+    trace = DerivationTrace((), (TraceStep(x, x, Refl()),))
+    with pytest.raises(TypeError, match=r"^unknown rule .*\.Refl\(\)$"):
+        format_trace(trace)
 
 
 def test_cx_trace_text():

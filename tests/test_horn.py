@@ -35,7 +35,7 @@ def total_max_with_zero() -> FinitePartialAlgebra:
 
 
 def test_falsum_requires_antecedent():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a falsum consequent needs at least one antecedent$"):
         HornSentence((), (), FALSUM)
 
 

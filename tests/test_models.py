@@ -16,7 +16,13 @@ from boolelab.models import (
     signature_of,
 )
 from boolelab.terms import Add, Var, parse
-from helpers import random_plus_sentence, reference_total_models, small_algebras
+from helpers import (
+    random_plus_sentence,
+    random_ring_sentence,
+    reference_signature_of,
+    reference_total_models,
+    small_algebras,
+)
 
 x, y = Var("x"), Var("y")
 
@@ -37,6 +43,23 @@ def test_signature_desugars_large_literals():
 def test_signature_respects_base():
     sig = signature_of((COMMUTATIVE,), base=(("-", 2),))
     assert sig == (("-", 2), ("+", 2))
+
+
+def ring_theories(seed: int, count: int):
+    """Seeded theories of one or two ``random_ring_sentence``s."""
+    rng = random.Random(seed)
+    return [
+        tuple(random_ring_sentence(rng) for _ in range(rng.randint(1, 2)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("base", [(), (("*", 2), ("0", 0))])
+def test_signature_matches_the_recursive_walk(base):
+    theories = ring_theories(2510, 300)
+    assert any(s.consequent is FALSUM for theory in theories for s in theory)
+    for theory in theories:
+        assert signature_of(theory, base) == reference_signature_of(theory, base)
 
 
 def assert_same_sequence(sentences, size, base_signature=()):
@@ -75,6 +98,14 @@ def test_random_theories_match_reference():
         if assert_same_sequence(theory, size):
             sizes_with_models.add(size)
     assert sizes_with_models == {1, 2, 3}
+
+
+def test_ring_theories_match_reference():
+    with_models = 0
+    for theory in ring_theories(2511, 40):
+        for size in (1, 2):
+            with_models += assert_same_sequence(theory, size) > 0
+    assert 0 < with_models < 80
 
 
 def test_first_commutative_model_is_constant():

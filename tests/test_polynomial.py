@@ -500,6 +500,16 @@ def test_poly_equality_ignores_var_order():
     assert hash(a) == hash(b)
 
 
+def test_poly_operators_refuse_a_foreign_type():
+    p = nf("x")
+    assert p.__eq__("x") is NotImplemented
+    assert p != "x"
+    with pytest.raises(TypeError):
+        p + "x"
+    with pytest.raises(TypeError):
+        p * "x"
+
+
 def test_poly_is_immutable():
     p = nf("x")
     with pytest.raises(AttributeError):

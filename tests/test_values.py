@@ -210,6 +210,21 @@ def test_missing_arguments_are_listed_as_a_def_lists_them():
     )
 
 
+def test_a_default_before_a_non_default_field_is_refused_as_a_dataclass_refuses_it():
+    def value_class():
+        class Late(Value):
+            a: int = 0
+            b: int
+
+    def reference():
+        @dataclasses.dataclass(frozen=True)
+        class Late:
+            a: int = 0
+            b: int
+
+    assert _error(value_class) == _error(reference)
+
+
 def test_verdicts_agree_with_the_reference_dataclasses():
     poly = normalize(parse("x - x*y"))
     pairs = [
