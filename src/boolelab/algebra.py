@@ -158,6 +158,10 @@ class FinitePartialAlgebra(Value):
 
 
 _OP_NAMES = {Add: "+", Sub: "-", Mul: "*"}
+MAX_LITERAL = 4096
+"""Largest integer literal that ``holds_total`` and the model search
+read.  A literal n is evaluated as n - 1 additions of the unit, one
+table read each, so the cap bounds the program a sentence compiles to."""
 _NOWHERE = 0  # first cell of a partial algebra's never-defined block
 _NO_ENTRIES: dict = {}  # the table of an operation with no defined entry
 
@@ -171,7 +175,8 @@ def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
     constant reads with operands 0, 0; a bare variable compiles to its
     index in ``values``.  A literal n >= 2 reads the constant named n,
     or a never-defined cell; with ``max_sum`` it is n - 1 additions of
-    the unit instead, and n above ``max_sum`` raises CapExceeded.
+    the unit instead, n above ``max_sum`` raises CapExceeded, and a
+    signature without the unit or addition raises UnknownSymbolError.
     The first unknown symbol in post-order raises UnknownSymbolError
     here, before any evaluation.  The walk is a ``fold``, so depth is
     unlimited.
@@ -189,6 +194,8 @@ def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
         if max_sum is not None and x.value > 1:
             if x.value > max_sum:
                 raise CapExceeded(f"integer literal {x.value} exceeds the limit of {max_sum}")
+            if "1" not in base or "+" not in base:
+                raise UnknownSymbolError(f"literal {x.value} needs the constant '1' and the operation '+'")
             prog.append((base["1"], 0, 0))
             unit = offset + len(prog)
             for _ in range(x.value - 1):
@@ -279,11 +286,16 @@ def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisfaction
     UnknownSymbolError if the sentence uses an operation symbol the
     signature lacks, before any assignment is tried.
     """
+    return _satisfaction(algebra, sentence, None)
+
+
+def _satisfaction(algebra: FinitePartialAlgebra, sentence: HornSentence, max_sum) -> SatisfactionVerdict:
+    """``holds``, with the sentence's terms compiled under ``max_sum``."""
     cells, base = algebra._layout
     size = len(algebra.carrier)
     names = sentence.vars
     k = len(names)
-    programs = [_compile(t, names, base) for t in sentence.all_terms()]
+    programs = [_compile(t, names, base, max_sum) for t in sentence.all_terms()]
     depths = []  # the last variable position (1..k) each program reads, or 0
     for prog in programs:
         if prog.__class__ is int:
@@ -330,10 +342,15 @@ def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisfaction
 
 
 def holds_total(algebra: FinitePartialAlgebra, sentence: HornSentence) -> SatisfactionVerdict:
-    """Classical satisfaction; requires every table to be complete."""
+    """Classical satisfaction; requires every table to be complete.
+
+    An integer literal n >= 2 reads as the model search reads it: n - 1
+    additions of the unit, not a constant named n.  A literal above
+    ``MAX_LITERAL`` raises CapExceeded, and one in a signature without
+    the unit or addition raises UnknownSymbolError."""
     if not algebra.is_total():
         raise ValueError("holds_total needs a total algebra")
-    return holds(algebra, sentence)
+    return _satisfaction(algebra, sentence, MAX_LITERAL)
 
 
 class CheckVerdict(Value):

@@ -46,7 +46,23 @@ def read_lines(text: str, read) -> None:
                 raise CapExceeded(f"line {lineno}: {exc}") from exc
 
 
-_set = object.__setattr__
+def _write_init(self, *args, **kwargs):
+    """A Value class's ``__init__`` until its first construction, which
+    writes the class's own, installs it and calls it."""
+    cls, fields = self.__class__, self.__class__._fields
+    me = "__value_self__" if "self" in fields else "self"
+    body = "".join(f"__value_setattr__({me}, {name!r}, {name}); " for name in fields)
+    namespace = {"__value_setattr__": object.__setattr__}
+    exec(f"def __init__({', '.join((me, *fields))}): {body}{me}.__post_init__()", namespace)
+    init = namespace["__init__"]
+    init.__defaults__, init.__qualname__ = cls._defaults or None, f"{cls.__qualname__}.__init__"
+    init._written = True
+    if cls.__dict__.get("__init__") is _write_init:  # never one the class defines
+        cls.__init__ = init
+    init(self, *args, **kwargs)
+
+
+_write_init._written = True
 
 
 class Value:
@@ -62,14 +78,18 @@ class Value:
 
     This is what ``@dataclass(frozen=True)`` gives, without the code
     generation that ``dataclass`` runs for each class when its module
-    is imported, which every CLI call would pay again.  A subclass may
-    define its own ``__eq__`` and ``__hash__``; ``cached_property``
-    works, as it writes the instance ``__dict__`` directly.
+    is imported, which every CLI call would pay again: a class writes
+    its ``__init__`` on its first construction instead, so a wrong call
+    raises the TypeError Python raises.  It sets one field at a time,
+    which keeps the interpreter's compact instance layout and its fast
+    attribute reads.  A class keeps an ``__init__`` it defines itself,
+    and may define its own ``__eq__`` and ``__hash__``;
+    ``cached_property`` works, as it writes the instance ``__dict__``.
     """
 
     _fields = ()
-    _defaults = {}
-    _least = 0  # fields before the first default
+    _defaults = ()
+    __init__ = _write_init
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -79,56 +99,14 @@ class Value:
                 if name not in fields:
                     fields.append(name)
         cls._fields = tuple(fields)
-        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
-        cls._least = len(fields) - len(cls._defaults)
-        for name in fields[cls._least :]:
-            if name not in cls._defaults:
+        cls._defaults = tuple(getattr(cls, name) for name in fields if hasattr(cls, name))
+        for name in fields[len(fields) - len(cls._defaults) :]:
+            if not hasattr(cls, name):
                 raise TypeError(f"non-default argument {name!r} follows default argument")
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        n = len(args)
-        if kwargs or not self._least <= n <= len(fields):
-            args = self._bind(args, kwargs)
-        elif n < len(fields):
-            args += tuple(self._defaults.values())[n - self._least :]
-        # one attribute at a time: touching __dict__ would give up the
-        # interpreter's compact instance layout, and attribute reads on
-        # the instance would get several times slower
-        for name, value in zip(fields, args):
-            _set(self, name, value)
-        self.__post_init__()
-
-    def _bind(self, args, kwargs) -> list:
-        """The field values of a call, filling in defaults, or the
-        TypeError that a function with the fields as parameters would
-        raise for these arguments."""
-        cls = type(self)
-        fields, defaults = cls._fields, cls._defaults
-        where = f"{cls.__qualname__}.__init__()"
-        bound = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if name in bound:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-            bound[name] = value
-        if len(args) > len(fields):
-            most = len(fields) + 1  # the message counts self
-            least = most - len(defaults)
-            if least < most:
-                takes = f"from {least} to {most} positional arguments"
-            else:
-                takes = f"{most} positional argument{'s' if most > 1 else ''}"
-            raise TypeError(f"{where} takes {takes} but {len(args) + 1} were given")
-        missing = [repr(n) for n in fields if n not in bound and n not in defaults]
-        if missing:
-            names, s = missing[-1], ""
-            if len(missing) > 1:
-                comma = "," if len(missing) > 2 else ""
-                names, s = f"{', '.join(missing[:-1])}{comma} and {names}", "s"
-            raise TypeError(f"{where} missing {len(missing)} required positional argument{s}: {names}")
-        return [bound[n] if n in bound else defaults[n] for n in fields]
+        # the writer, or a parent's written __init__, which takes the
+        # parent's fields only: either way the class gets the writer
+        if getattr(cls.__init__, "_written", False):
+            cls.__init__ = _write_init
 
     def __post_init__(self):
         """Check the fields; the base accepts any values."""

@@ -34,22 +34,17 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import _OP_NAMES, FinitePartialAlgebra, _compile, _eval, search_embedding
+from .algebra import _OP_NAMES, MAX_LITERAL, FinitePartialAlgebra, _compile, _eval, search_embedding
 from .errors import MAX_MODEL_SIZE, CapExceeded, Value
 from .horn import FALSUM, HornSentence, horn_sentence, identity
 from .terms import Add, IntLit, Mul, Sub, Term, Var
-
-MAX_LITERAL = 4096
-"""Largest integer literal a theory may use.  A literal n is evaluated
-as n - 1 additions of the unit, one table read each, so the cap bounds
-the program a sentence compiles to."""
-
 
 def signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
     """Operation symbols used by the sentences, constants first, each
     group in order of first occurrence in a preorder walk of the
     sentences' terms; ``base`` symbols are kept in front.  A literal
-    n >= 2 contributes the unit constant and addition."""
+    n >= 2 contributes the unit constant and addition.  A symbol used
+    with two arities raises ValueError."""
     found = dict.fromkeys(base)
     for s in sentences:
         todo = s.all_terms()[::-1]
@@ -64,6 +59,10 @@ def signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
             elif node.__class__ in _OP_NAMES:
                 found[(_OP_NAMES[node.__class__], 2)] = None
                 todo += (node.right, node.left)
+    arity: dict = {}
+    for op, k in found:
+        if arity.setdefault(op, k) != k:
+            raise ValueError(f"operation {op!r} is used with arity {arity[op]} and with arity {k}")
     return tuple(sorted(found, key=lambda entry: entry[1] != 0))
 
 

@@ -25,7 +25,7 @@ def _monomial_key(mono: frozenset) -> tuple:
     return (len(mono), tuple(sorted(mono)))
 
 
-class MultilinearPoly:
+class MultilinearPoly(Value):
     """Integer polynomial with exponents at most one.
 
     ``vars`` may list variables that no monomial uses (a normal form
@@ -39,12 +39,13 @@ class MultilinearPoly:
     results with ``_of``, from parts that already hold those rules.
     """
 
-    __slots__ = ("vars", "_coeffs")
+    vars: tuple = ()
+    _coeffs: dict = None
 
-    def __init__(self, vars=(), coeffs=None):
-        names = set(vars)
+    def __post_init__(self):
+        names = set(self.vars)
         cleaned: dict[frozenset, int] = {}
-        for mono, c in (coeffs or {}).items():
+        for mono, c in (self._coeffs or {}).items():
             mono = frozenset(mono)
             names.update(mono)
             if c:
@@ -62,15 +63,6 @@ class MultilinearPoly:
         object.__setattr__(p, "vars", vars)
         object.__setattr__(p, "_coeffs", coeffs)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultilinearPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MultilinearPoly is immutable")
-
-    def __reduce__(self):
-        return MultilinearPoly, (self.vars, self._coeffs)
 
     @property
     def coeffs(self):

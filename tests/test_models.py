@@ -4,18 +4,20 @@ import random
 
 import pytest
 
-from boolelab.algebra import FinitePartialAlgebra, eval_term, holds, holds_total
+from boolelab import models
+from boolelab.algebra import FinitePartialAlgebra, UnknownSymbolError, eval_term, holds, holds_total
 from boolelab.counterexamples import intro_algebra, intro_laws
 from boolelab.errors import CapExceeded
-from boolelab.horn import FALSUM, Delta, horn_sentence, identity, relativize
+from boolelab.horn import FALSUM, Delta, horn_sentence, identity, parse_theory, relativize
 from boolelab.models import (
+    MAX_LITERAL,
     embeds_into_mod_bounded,
     enumerate_total_models,
     hailperin_laws,
     search_total_model,
     signature_of,
 )
-from boolelab.terms import Add, Var, parse
+from boolelab.terms import Add, IntLit, Var, parse
 from helpers import (
     random_plus_sentence,
     random_ring_sentence,
@@ -270,3 +272,32 @@ def test_embeddings_preserve_term_values():
                     result.model, t, {"x": result.mapping[a], "y": result.mapping[b]}
                 )
                 assert image == result.mapping[value]
+
+
+def test_a_symbol_with_two_arities_is_refused_before_any_instance(monkeypatch):
+    monkeypatch.setattr(models, "_instances", lambda *args: pytest.fail("an instance was built"))
+    unary = FinitePartialAlgebra(("a",), (("+", 1),), {"+": {("a",): "a"}})
+    with pytest.raises(ValueError, match=r"'\+' is used with arity 1 and with arity 2"):
+        embeds_into_mod_bounded(unary, [COMMUTATIVE], 2)
+    binary_one = FinitePartialAlgebra(("a",), (("1", 2),), {"1": {}})
+    with pytest.raises(ValueError, match="'1' is used with arity 2 and with arity 0"):
+        embeds_into_mod_bounded(binary_one, [identity(parse("x + 1"), x)], 2)
+
+
+def test_holds_total_reads_a_literal_as_the_model_search_does():
+    theory = parse_theory("-> x + 0 = x\n-> 1 + 1 = 0\n0 = 1 -> false\n")
+    model = search_total_model(theory, 2)
+    two_is_one, two_is_zero = parse_theory("-> 2 = 1\n-> 2 = 0\n")
+    # 2 is 1 + 1, which is 0 here and not 1
+    assert not holds_total(model, two_is_one).holds
+    assert not holds_total(model, identity(parse("1 + 1"), parse("1"))).holds
+    assert holds_total(model, two_is_zero).holds
+    assert search_total_model((*theory, two_is_one), 2) is None
+    assert search_total_model((*theory, two_is_zero), 2) == model
+    # holds keeps its partial reading: 2 names a constant the model lacks
+    assert holds(model, two_is_one).holds
+    with pytest.raises(CapExceeded, match=f"exceeds the limit of {MAX_LITERAL}"):
+        holds_total(model, identity(x, IntLit(MAX_LITERAL + 1)))
+    no_unit = FinitePartialAlgebra(("a",), (("+", 2),), {"+": {("a", "a"): "a"}})
+    with pytest.raises(UnknownSymbolError, match="literal 2 needs the constant '1'"):
+        holds_total(no_unit, identity(x, parse("2")))

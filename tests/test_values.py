@@ -225,6 +225,75 @@ def test_a_default_before_a_non_default_field_is_refused_as_a_dataclass_refuses_
     assert _error(value_class) == _error(reference)
 
 
+def test_a_subclass_defined_after_its_parent_was_built_takes_both_fields():
+    class Parent(Value):
+        a: int
+
+    assert Parent(1).a == 1
+
+    class Child(Parent):
+        b: int = 2
+
+    assert (Child(1, 3).b, Child(1).b, Child(b=4, a=1).b) == (3, 2, 4)
+    assert Parent(5) == Parent(a=5)
+
+
+def test_an_init_a_class_defines_is_kept():
+    class Doubled(Value):
+        a: int
+
+        def __init__(self, a):
+            super().__init__(2 * a)
+
+    own = Doubled.__dict__["__init__"]
+    assert (Doubled(2).a, Doubled(3).a) == (4, 6)
+    assert Doubled.__dict__["__init__"] is own
+
+
+def test_a_field_named_self_constructs_positionally():
+    class Odd(Value):
+        self: int
+        other: int = 0
+
+    assert (Odd(1).self, Odd(1, 2).other, Odd(self=3).self) == (1, 2, 3)
+
+
+def test_a_class_writes_its_init_once():
+    class Once(Value):
+        a: int
+
+    Once(1)
+    written = Once.__dict__["__init__"]
+    Once(2)
+    assert Once.__dict__["__init__"] is written
+
+
+def test_the_signature_lists_the_fields_with_their_defaults():
+    Problem((), (Var("x"), Var("x")))
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in inspect.signature(Problem).parameters.values()] == [
+        ("premisses", empty),
+        ("conclusion", empty),
+        ("mode", "hailperin"),
+        ("max_n", 3),
+    ]
+
+
+def test_a_polynomial_is_a_read_only_value():
+    p = MultilinearPoly(("b",), {frozenset("a"): 2, frozenset("c"): 0})
+    assert isinstance(p, Value) and p.vars == ("a", "b", "c")
+    for how in _ROUND_TRIPS.values():
+        back = how(p)
+        assert type(back) is MultilinearPoly and back == p and back.vars == p.vars
+    with pytest.raises(AttributeError, match="cannot assign to field 'vars'"):
+        p.vars = ()
+    with pytest.raises(AttributeError, match="cannot delete field '_coeffs'"):
+        del p._coeffs
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p.coeffs == {frozenset("a"): 2}
+
+
 def test_verdicts_agree_with_the_reference_dataclasses():
     poly = normalize(parse("x - x*y"))
     pairs = [
