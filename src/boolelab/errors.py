@@ -3,8 +3,9 @@
 Every command loads this module, so what several layers share lives
 here: the default size caps, the names of the trace-checking modes,
 ``Value`` (the base of the immutable records that the layers return:
-verdicts, certificates, problems, trace rules) and ``read_lines``, the
-line reader of the file formats.
+verdicts, certificates, problems, trace rules, polynomials) and
+``read_lines``, the line reader of the file formats.  A Value class
+writes its ``__init__`` on its first construction, not at import.
 """
 
 
@@ -47,22 +48,23 @@ def read_lines(text: str, read) -> None:
 
 
 def _write_init(self, *args, **kwargs):
-    """A Value class's ``__init__`` until its first construction, which
-    writes the class's own, installs it and calls it."""
-    cls, fields = self.__class__, self.__class__._fields
-    me = "__value_self__" if "self" in fields else "self"
-    body = "".join(f"__value_setattr__({me}, {name!r}, {name}); " for name in fields)
+    """The ``__init__`` of a Value class until its first construction,
+    which writes the class's own, installs it and calls it."""
+    cls = self.__class__
+    me = "__value_self__" if "self" in cls._fields else "self"
+    lines = [f"def __init__({', '.join((me, *cls._fields))}):"]
+    # one field at a time: touching __dict__ would give up the compact
+    # instance layout, and attribute reads would get several times slower
+    lines += [f"    __value_setattr__({me}, {name!r}, {name})" for name in cls._fields]
+    lines.append(f"    {me}.__post_init__()")
     namespace = {"__value_setattr__": object.__setattr__}
-    exec(f"def __init__({', '.join((me, *fields))}): {body}{me}.__post_init__()", namespace)
+    exec("\n".join(lines), namespace)
     init = namespace["__init__"]
-    init.__defaults__, init.__qualname__ = cls._defaults or None, f"{cls.__qualname__}.__init__"
-    init._written = True
-    if cls.__dict__.get("__init__") is _write_init:  # never one the class defines
+    init.__defaults__ = cls._defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    if cls.__dict__.get("__init__") is _write_init:  # not one the class defines
         cls.__init__ = init
     init(self, *args, **kwargs)
-
-
-_write_init._written = True
 
 
 class Value:
@@ -79,12 +81,10 @@ class Value:
     This is what ``@dataclass(frozen=True)`` gives, without the code
     generation that ``dataclass`` runs for each class when its module
     is imported, which every CLI call would pay again: a class writes
-    its ``__init__`` on its first construction instead, so a wrong call
-    raises the TypeError Python raises.  It sets one field at a time,
-    which keeps the interpreter's compact instance layout and its fast
-    attribute reads.  A class keeps an ``__init__`` it defines itself,
-    and may define its own ``__eq__`` and ``__hash__``;
-    ``cached_property`` works, as it writes the instance ``__dict__``.
+    its ``__init__`` on its first construction instead, unless it
+    defines one.  A subclass may define its own ``__eq__`` and
+    ``__hash__``; ``cached_property`` works, as it writes the instance
+    ``__dict__`` directly.
     """
 
     _fields = ()
@@ -103,9 +103,8 @@ class Value:
         for name in fields[len(fields) - len(cls._defaults) :]:
             if not hasattr(cls, name):
                 raise TypeError(f"non-default argument {name!r} follows default argument")
-        # the writer, or a parent's written __init__, which takes the
-        # parent's fields only: either way the class gets the writer
-        if getattr(cls.__init__, "_written", False):
+        # a parent's written __init__ takes the parent's fields only
+        if "__init__" not in cls.__dict__:
             cls.__init__ = _write_init
 
     def __post_init__(self):
