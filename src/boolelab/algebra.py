@@ -195,7 +195,9 @@ def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
             if x.value > max_sum:
                 raise CapExceeded(f"integer literal {x.value} exceeds the limit of {max_sum}")
             if "1" not in base or "+" not in base:
-                raise UnknownSymbolError(f"literal {x.value} needs the constant '1' and the operation '+'")
+                raise UnknownSymbolError(
+                    f"literal {x.value} needs the constant '1' and the operation '+'"
+                )
             prog.append((base["1"], 0, 0))
             unit = offset + len(prog)
             for _ in range(x.value - 1):
@@ -289,7 +291,7 @@ def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisfaction
     return _satisfaction(algebra, sentence, None)
 
 
-def _satisfaction(algebra: FinitePartialAlgebra, sentence: HornSentence, max_sum) -> SatisfactionVerdict:
+def _satisfaction(algebra: FinitePartialAlgebra, sentence: HornSentence, max_sum):
     """``holds``, with the sentence's terms compiled under ``max_sum``."""
     cells, base = algebra._layout
     size = len(algebra.carrier)

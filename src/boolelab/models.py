@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import _OP_NAMES, MAX_LITERAL, FinitePartialAlgebra, _compile, _eval, search_embedding
+from .algebra import MAX_LITERAL, _OP_NAMES, FinitePartialAlgebra, _compile, _eval, search_embedding
 from .errors import MAX_MODEL_SIZE, CapExceeded, Value
 from .horn import FALSUM, HornSentence, horn_sentence, identity
 from .terms import Add, IntLit, Mul, Sub, Term, Var
+
 
 def signature_of(sentences, base=()) -> tuple[tuple[str, int], ...]:
     """Operation symbols used by the sentences, constants first, each

@@ -51,7 +51,8 @@ def write_generated(where: Path) -> None:
         (deep, deep, "Premiss"),
         ("x", "x", "Refl"),
     ]
-    (where / "deep.trace").write_text("".join(f"{k}: {l} = {r} [{rule}]\n" for k, (l, r, rule) in enumerate(steps, 1)))
+    lines = [f"{k}: {left} = {right} [{rule}]\n" for k, (left, right, rule) in enumerate(steps, 1)]
+    (where / "deep.trace").write_text("".join(lines))
     # a rule argument of 4400 digits
     (where / "big.trace").write_text("1: x = x [Sym " + "9" * 4400 + "]\n")
     # 20 factors of 7 monomials: 2^8 monomial pairs at the fourth factor

@@ -263,9 +263,11 @@ def test_a_class_writes_its_init_once():
         a: int
 
     Once(1)
-    written = Once.__dict__["__init__"]
+    written = Once.__init__
+    assert written is not Value.__init__
+    assert list(inspect.signature(written).parameters) == ["self", "a"]
     Once(2)
-    assert Once.__dict__["__init__"] is written
+    assert Once.__init__ is written
 
 
 def test_the_signature_lists_the_fields_with_their_defaults():
