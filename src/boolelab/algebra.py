@@ -63,9 +63,10 @@ class FinitePartialAlgebra(Value):
     """Named carrier, signature of (name, arity) pairs, partial tables.
 
     Tables map argument tuples to carrier elements; constants are
-    arity-0 operations keyed by the empty tuple.  ``index`` maps each
-    element to its position in the carrier.  Treat instances as
-    immutable after construction.
+    arity-0 operations keyed by the empty tuple.  A symbol that terms
+    use must be declared at the arity they use it at: 2 for +, - and *,
+    0 for a digit string.  ``index`` maps each element to its position
+    in the carrier.  Treat instances as immutable after construction.
     """
 
     carrier: tuple[str, ...]
@@ -82,6 +83,10 @@ class FinitePartialAlgebra(Value):
         arities = dict(self.signature)
         if len(arities) != len(self.signature):
             raise ValueError("duplicate operation in signature")
+        for op, k in self.signature:
+            use = _term_arity(op)
+            if use is not None and k != use:
+                raise ValueError(f"operation {op!r} has arity {k}, but terms use it with arity {use}")
         for op, table in self.tables.items():
             if op not in arities:
                 raise ValueError(f"table for {op!r} has no signature entry")
@@ -122,17 +127,16 @@ class FinitePartialAlgebra(Value):
 
     @cached_property
     def _layout(self) -> tuple[list, dict]:
-        """(cells, base): the tables as one flat list of carrier indices
+        """(cells, base): the tables of the term symbols (+, -, * and
+        the digit-string constants) as one flat list of carrier indices
         (None where undefined, binary tables row-major), and each
-        symbol's first cell.  The first size^2 cells are never defined;
-        a symbol whose declared arity does not fit its use in terms
-        reads there."""
+        symbol's first cell.  Cell 0 is never defined: a literal with no
+        constant of its name reads there."""
         index = self.index
-        cells: list = [None] * len(self.carrier) ** 2
+        cells: list = [None]
         base = {}
         for op, k in self.signature:
-            if k != (2 if op in _OP_NAMES.values() else 0):
-                base[op] = _NOWHERE
+            if _term_arity(op) is None:
                 continue
             base[op] = len(cells)
             table = self.tables.get(op, {})
@@ -162,8 +166,16 @@ MAX_LITERAL = 4096
 """Largest integer literal that ``holds_total`` and the model search
 read.  A literal n is evaluated as n - 1 additions of the unit, one
 table read each, so the cap bounds the program a sentence compiles to."""
-_NOWHERE = 0  # first cell of a partial algebra's never-defined block
+_NOWHERE = 0  # the never-defined cell of a partial algebra's layout
 _NO_ENTRIES: dict = {}  # the table of an operation with no defined entry
+
+
+def _term_arity(op: str) -> int | None:
+    """The arity terms use the symbol ``op`` at: 2 for +, - and *, 0 for
+    a digit string (a literal), None for a symbol no term uses."""
+    if op in _OP_NAMES.values():
+        return 2
+    return 0 if op.isdecimal() else None
 
 
 def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
@@ -174,7 +186,7 @@ def _compile(t: Term, names: tuple, base: dict, max_sum: int | None = None):
     then the elements of ``names``, then each instruction's result.  A
     constant reads with operands 0, 0; a bare variable compiles to its
     index in ``values``.  A literal n >= 2 reads the constant named n,
-    or a never-defined cell; with ``max_sum`` it is n - 1 additions of
+    or the never-defined cell; with ``max_sum`` it is n - 1 additions of
     the unit instead, n above ``max_sum`` raises CapExceeded, and a
     signature without the unit or addition raises UnknownSymbolError.
     The first unknown symbol in post-order raises UnknownSymbolError

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 
@@ -121,15 +122,15 @@ def _random_symbol_term(rng, names, depth, ops, literals):
 
 
 def _random_algebra(rng):
-    """A partial algebra over the term symbols, some of them declared
-    with an arity that does not fit their use in terms."""
+    """A partial algebra over the term symbols and an operation f that no
+    term uses, declared at a random arity."""
     carrier = ("a", "b", "c")[: rng.randint(1, 3)]
     signature = []
     tables = {}
-    for op in ("+", "-", "*", "0", "1", "2", "3"):
+    for op in ("+", "-", "*", "0", "1", "2", "3", "f"):
         if rng.random() < 0.2:
             continue  # the symbol is unknown
-        k = rng.choice((0, 1, 2)) if rng.random() < 0.3 else (2 if op in "+-*" else 0)
+        k = rng.choice((0, 1, 2)) if op == "f" else (2 if op in "+-*" else 0)
         signature.append((op, k))
         tables[op] = {
             args: rng.choice(carrier)
@@ -149,8 +150,8 @@ def _symbols(algebra):
 def test_eval_term_matches_reference_evaluator():
     """Compiled evaluation against the recursive reference, on terms
     whose symbols are all in the signature: the same element or
-    UNDEFINED under every assignment.  Literals 2..4 and symbols declared
-    with an arity that does not fit them must be UNDEFINED in both."""
+    UNDEFINED under every assignment.  Literals 2..4 with no constant of
+    their name must be UNDEFINED in both."""
     rng = random.Random(20240611)
     algebras = [(a, [Add], [2, 3]) for a in small_algebras()]
     algebras.append((intro_algebra(), [Add], [2, 3]))
@@ -633,6 +634,24 @@ def test_validation_rejects_bad_tables():
         FinitePartialAlgebra(("a", "a"), (), {})
     with pytest.raises(ValueError, match="duplicate operation in signature"):
         FinitePartialAlgebra(("a",), (("c", 0), ("c", 0)), {})
+
+
+@pytest.mark.parametrize(
+    "op, arity, use",
+    [("+", 1, 2), ("-", 0, 2), ("*", 3, 2), ("1", 2, 0), ("0", 1, 0), ("12", 2, 0)],
+)
+def test_a_term_symbol_at_another_arity_is_refused(op, arity, use):
+    """Terms read +, - and * as binary and a digit string as a constant,
+    so an algebra that declares one otherwise cannot be built."""
+    message = f"operation {op!r} has arity {arity}, but terms use it with arity {use}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FinitePartialAlgebra(("a", "b"), ((op, arity),), {op: {("a",) * arity: "b"}})
+
+
+def test_a_symbol_no_term_uses_takes_any_arity():
+    algebra = FinitePartialAlgebra(("a", "b"), (("f", 3), ("c", 2), ("1", 0)), {"1": {(): "b"}})
+    assert algebra._layout == ([None, 1], {"1": 1})
+    assert holds(algebra, identity(parse("1"), parse("1"))).holds
 
 
 def test_defined_entries_order():

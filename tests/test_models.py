@@ -276,12 +276,11 @@ def test_embeddings_preserve_term_values():
 
 def test_a_symbol_with_two_arities_is_refused_before_any_instance(monkeypatch):
     monkeypatch.setattr(models, "_instances", lambda *args: pytest.fail("an instance was built"))
-    unary = FinitePartialAlgebra(("a",), (("+", 1),), {"+": {("a",): "a"}})
+    # an algebra cannot declare these arities, so the base signature is given directly
     with pytest.raises(ValueError, match=r"'\+' is used with arity 1 and with arity 2"):
-        embeds_into_mod_bounded(unary, [COMMUTATIVE], 2)
-    binary_one = FinitePartialAlgebra(("a",), (("1", 2),), {"1": {}})
+        next(enumerate_total_models([COMMUTATIVE], 2, base_signature=(("+", 1),)))
     with pytest.raises(ValueError, match="'1' is used with arity 2 and with arity 0"):
-        embeds_into_mod_bounded(binary_one, [identity(parse("x + 1"), x)], 2)
+        next(enumerate_total_models([identity(parse("x + 1"), x)], 2, base_signature=(("1", 2),)))
 
 
 def test_holds_total_reads_a_literal_as_the_model_search_does():
