@@ -35,8 +35,9 @@ class MultilinearPoly(Value):
 
     The constructor is the check on outside input: it freezes the
     monomials, drops zero coefficients and widens ``vars`` to cover
-    every monomial.  The operators and ``normalize`` build their
-    results with ``_of``, from parts that already hold those rules.
+    every monomial.  The operators, ``const``, ``variable`` and
+    ``normalize`` build their results with ``_of``, from parts that
+    already hold those rules.
     """
 
     vars: tuple = ()
@@ -70,11 +71,13 @@ class MultilinearPoly(Value):
 
     @classmethod
     def const(cls, n: int, vars=()) -> "MultilinearPoly":
-        return cls(vars, {frozenset(): n})
+        """The integer n, with no monomial when n is 0: the one rule that
+        turns an int into a polynomial, an int operand included."""
+        return cls._of(tuple(sorted({*vars})), {frozenset(): n} if n else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultilinearPoly":
-        return cls((name,), {frozenset((name,)): 1})
+        return cls._of((name,), {frozenset((name,)): 1})
 
     @property
     def is_zero(self) -> bool:

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import pickle
 import random
 
@@ -241,6 +242,39 @@ def test_operators_match_the_constructor_on_naive_dicts():
             assert_same_poly(got, want)
         cancelled += (p + q).is_zero and not p.is_zero
     assert cancelled > 10
+
+
+def test_int_operands_match_the_constructor_path(monkeypatch):
+    """An int on either side of +, - and * gives the vars and the
+    coefficients (values, types and insertion order) that the operator
+    gives with the int built by the public constructor, and no int
+    operand, ``const`` or ``variable`` runs the constructor's pass."""
+    rng = random.Random(2702)
+    names = ("a", "b", "c", "d")
+    forms = [normalize(random_term(rng, names[: rng.randint(1, 4)], rng.randint(1, 4))) for _ in range(200)]
+    ints = (0, 1, -1, 2, -7, 10**30, True)
+    calls = []  # (function, its arguments, the constructor path's result)
+    for p in forms:
+        for n in ints:
+            c = MultilinearPoly((), {frozenset(): n})
+            calls += [
+                (operator.add, (p, n), p + c),
+                (operator.add, (n, p), p + c),
+                (operator.sub, (p, n), p - c),
+                (operator.sub, (n, p), -p + c),
+                (operator.mul, (p, n), p * c),
+                (operator.mul, (n, p), p * c),
+                (MultilinearPoly.const, (n, p.vars[::-1] * 2), MultilinearPoly(p.vars, c.coeffs)),
+            ]
+    for name in names:
+        calls.append((MultilinearPoly.variable, (name,), MultilinearPoly((name,), {frozenset(name): 1})))
+    monkeypatch.setattr(MultilinearPoly, "__post_init__", lambda self: pytest.fail("the constructor ran"))
+    for function, args, want in calls:
+        got = function(*args)
+        assert got.vars == want.vars
+        assert [(m, c, type(c)) for m, c in got.coeffs.items()] == [
+            (m, c, type(c)) for m, c in want.coeffs.items()
+        ]
 
 
 def test_normalize_is_a_homomorphism():
