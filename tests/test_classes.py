@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from boolelab import classes
 from boolelab.algebra import UNDEFINED, holds
 from boolelab.classes import (
     ChiVerdict,
@@ -155,6 +156,18 @@ def test_chi_embedding_checks_every_entry_up_to_six_points():
     expected_entries = {1: 12, 2: 36, 3: 120, 4: 420, 5: 1512, 6: 5556}
     for n, entries in expected_entries.items():
         assert verify_chi_embedding(n, max_n=6) == ChiVerdict(True, entries)
+
+
+def test_chi_embedding_reports_a_map_that_is_not_injective(monkeypatch):
+    monkeypatch.setattr(classes, "chi", lambda mask, n: IntVector.zero(n))
+    assert verify_chi_embedding(2) == ChiVerdict(False, 0, "indicator map is not injective")
+
+
+def test_chi_embedding_reports_the_first_entry_a_map_breaks(monkeypatch):
+    # the complement is injective, but {} + {} = {} goes to 1 + 1 = 2, not 1
+    real = classes.chi
+    monkeypatch.setattr(classes, "chi", lambda mask, n: real(mask ^ ((1 << n) - 1), n))
+    assert verify_chi_embedding(2) == ChiVerdict(False, 1, "mismatch at +('{}', '{}')")
 
 
 def test_semantic_union_absorption():

@@ -40,6 +40,12 @@ def test_unknown_names_raise_attribute_error():
         exec("from boolelab import nonexistent", {})
 
 
+def test_a_module_name_loads_that_module(monkeypatch):
+    monkeypatch.delattr(boolelab, "models", raising=False)
+    assert "models" not in vars(boolelab)
+    assert boolelab.models is import_module("boolelab.models")
+
+
 def test_dir_lists_every_export():
     assert set(boolelab.__all__) <= set(dir(boolelab))
 
