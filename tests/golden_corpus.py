@@ -37,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CASES = sorted(GOLDEN.glob("*.json"))
 LIMIT = 10  # seconds per case in the driver
-STREAMS = ("exit_code", "stdout", "stderr")
+FIELDS = ("exit_code", "stdout", "stderr")
 _TIMING = re.compile(r'^(time: .*| *"timing_ms": .*)\n', re.MULTILINE)
 
 
@@ -98,7 +98,7 @@ def record(code: int, stdout: str, stderr: str) -> dict:
 def expected(case: Path) -> tuple[list, dict]:
     """A case's argv and the record it expects."""
     want = json.loads(case.read_text())
-    return want["argv"], {k: want[k] for k in STREAMS}
+    return want["argv"], {k: want[k] for k in FIELDS}
 
 
 def run_installed(argv: list) -> dict | None:
@@ -137,7 +137,7 @@ def main() -> int:
             print(f"FAIL  {took:5.2f} s  {case.stem}: no answer within {LIMIT} s")
             continue
         print(f"FAIL  {took:5.2f} s  {case.stem}: exit {got['exit_code']}, expected {want['exit_code']}")
-        for stream in STREAMS[1:]:
+        for stream in FIELDS[1:]:
             sys.stdout.writelines(
                 line + "\n"
                 for line in difflib.unified_diff(
