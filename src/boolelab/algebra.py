@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import CapExceeded, Value, read_lines
+from .errors import CapExceeded, Value, Verdict, read_lines
 from .horn import HornSentence
 from .terms import Add, Mul, Sub, Term, Var, fold, parse_int, variables
 
@@ -271,14 +271,11 @@ def eval_term(algebra: FinitePartialAlgebra, t: Term, assignment: dict):
     return UNDEFINED if v < 0 else algebra.carrier[v]
 
 
-class SatisfactionVerdict(Value):
+class SatisfactionVerdict(Verdict, Value):
     """Holds, or fails with the least falsifying assignment."""
 
     holds: bool
     witness: dict | None = None
-
-    def __bool__(self):
-        return self.holds
 
 
 def holds(algebra: FinitePartialAlgebra, sentence: HornSentence) -> SatisfactionVerdict:
@@ -367,14 +364,11 @@ def holds_total(algebra: FinitePartialAlgebra, sentence: HornSentence) -> Satisf
     return _satisfaction(algebra, sentence, MAX_LITERAL)
 
 
-class CheckVerdict(Value):
+class CheckVerdict(Verdict, Value):
     """Yes, or no with a reason."""
 
     ok: bool
     reason: str | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def is_weak_subalgebra(p: FinitePartialAlgebra, q: FinitePartialAlgebra) -> CheckVerdict:
@@ -397,6 +391,12 @@ def is_weak_subalgebra(p: FinitePartialAlgebra, q: FinitePartialAlgebra) -> Chec
     return CheckVerdict(True)
 
 
+def _check_signatures(p: FinitePartialAlgebra, q: FinitePartialAlgebra) -> None:
+    """Raise ValueError unless q interprets every symbol of p."""
+    if set(p.signature) - set(q.signature):
+        raise ValueError("embedding needs p's signature inside q's")
+
+
 def check_embedding(p: FinitePartialAlgebra, q: FinitePartialAlgebra, mapping: dict) -> CheckVerdict:
     """Is ``mapping`` an embedding of p into q?
 
@@ -404,8 +404,7 @@ def check_embedding(p: FinitePartialAlgebra, q: FinitePartialAlgebra, mapping: d
     defined entry of p must map to a defined entry of q with the
     matching value.  q may interpret extra operation symbols.
     """
-    if set(p.signature) - set(q.signature):
-        raise ValueError("embedding needs p's signature inside q's")
+    _check_signatures(p, q)
     missing = [e for e in p.carrier if e not in mapping]
     if missing:
         raise ValueError(f"mapping is not total on the carrier: missing {missing}")
@@ -432,8 +431,7 @@ def search_embedding(p: FinitePartialAlgebra, q: FinitePartialAlgebra):
     stack.  Each defined entry of p is checked once per branch, when
     the last element it mentions is mapped (``_entries_by_element``);
     q's tables are read as given."""
-    if set(p.signature) - set(q.signature):
-        raise ValueError("embedding needs p's signature inside q's")
+    _check_signatures(p, q)
     filed = p._entries_by_element
     tables = q.tables
     targets = q.carrier[::-1]

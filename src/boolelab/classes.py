@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FinitePartialAlgebra, holds
-from .errors import MAX_UNIVERSE, CapExceeded, Value
+from .errors import MAX_UNIVERSE, CapExceeded, Value, Verdict
 from .horn import horn_sentence
 
 
@@ -122,15 +122,12 @@ def chi(mask: int, n: int) -> IntVector:
     return IntVector(tuple(mask >> i & 1 for i in range(n)))
 
 
-class ChiVerdict(Value):
+class ChiVerdict(Verdict, Value):
     """Outcome of checking the indicator map entry by entry."""
 
     ok: bool
     entries_checked: int
     failing: str | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_chi_embedding(n: int, max_n: int = MAX_UNIVERSE) -> ChiVerdict:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import HAILPERIN, MAX_VARS, MODES, SIGMA1, CapExceeded, Value, read_lines
+from .errors import HAILPERIN, MAX_VARS, MODES, SIGMA1, CapExceeded, Value, Verdict, read_lines
 from .polynomial import (
     MultilinearPoly,
     _bit_terms,
@@ -84,14 +84,11 @@ class Certificate(Value):
         return cls(int(data["n"]), cofactors)
 
 
-class CertificateCheck(Value):
+class CertificateCheck(Verdict, Value):
     """Verified, or rejected with the nonzero residual."""
 
     verified: bool
     residual: MultilinearPoly | None = None
-
-    def __bool__(self):
-        return self.verified
 
 
 def verify_certificate(premisses, conclusion, certificate: Certificate) -> CertificateCheck:
@@ -294,15 +291,12 @@ class DerivationTrace(Value):
         return (last.lhs, last.rhs)
 
 
-class TraceVerdict(Value):
+class TraceVerdict(Verdict, Value):
     """Accepted, or rejected at a 1-based step with a reason."""
 
     accepted: bool
     step: int | None = None
     reason: str | None = None
-
-    def __bool__(self):
-        return self.accepted
 
 
 # The free commutative ring with unity: exponent-tracking monomials.

@@ -2,11 +2,14 @@
 
 Every command loads this module, so what several layers share lives
 here: the default size caps, the names of the trace-checking modes,
-``Value`` (the base of the immutable records that the layers return:
-verdicts, certificates, problems, trace rules, polynomials) and
-``read_lines``, the line reader of the file formats.  A Value class
-writes its ``__init__`` on its first construction, not at import.
+``Value`` (the base of the records that the layers return: verdicts,
+certificates, problems, trace rules, polynomials; a ``_record.Record``
+like the term nodes), the ``Verdict`` mixin that gives a verdict its
+truth, and ``read_lines``, the line reader of the file formats.  A Value
+class writes its ``__init__`` on its first construction, not at import.
 """
+
+from ._record import Record
 
 
 class CapExceeded(Exception):
@@ -67,16 +70,14 @@ def _write_init(self, *args, **kwargs):
     init(self, *args, **kwargs)
 
 
-class Value:
-    """Base of an immutable record with named fields.
+class Value(Record):
+    """Base of a record whose fields are its annotations.
 
     The fields are the annotated names of the class and of its bases,
     base fields first; a class attribute named like a field is that
     field's default.  Instances take their fields positionally or by
-    keyword and then run ``__post_init__``.  Two instances are equal
-    when they have the same class and equal field tuples, the hash is
-    the hash of the field tuple, ``repr`` is ``Name(field=value, ...)``,
-    and assigning or deleting an attribute raises AttributeError.
+    keyword and then run ``__post_init__``.  Equality, hashing, printing
+    and the refusal of assignment and deletion are ``Record``'s.
 
     This is what ``@dataclass(frozen=True)`` gives, without the code
     generation that ``dataclass`` runs for each class when its module
@@ -87,7 +88,6 @@ class Value:
     ``__dict__`` directly.
     """
 
-    _fields = ()
     _defaults = ()
     __init__ = _write_init
 
@@ -110,23 +110,12 @@ class Value:
     def __post_init__(self):
         """Check the fields; the base accepts any values."""
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+class Verdict:
+    """Mixin of a verdict record: true exactly when its first field is,
+    as in ``class TraceVerdict(Verdict, Value)``."""
 
-    def __hash__(self):
-        return hash(self._values())
+    __slots__ = ()
 
-    def __repr__(self):
-        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __bool__(self):
+        return getattr(self, self._fields[0])

@@ -188,14 +188,19 @@ def enumerate_total_models(sentences, size: int, base_signature=()):
 _SIZE_HOLD = 1 << 32
 
 
+def _check_size(what: str, size: int, cap: int) -> None:
+    """Raise CapExceeded when ``size`` is past ``cap`` held at 2^32."""
+    limit = min(cap, _SIZE_HOLD)
+    if size > limit:
+        raise CapExceeded(f"{what} {size} exceeds the limit of {limit}")
+
+
 def search_total_model(sentences, size: int, max_size: int = MAX_MODEL_SIZE):
     """First total model of the sentences at the given carrier size, or
     None; size is capped (default 4, held at 2^32)."""
     if size < 1:
         raise ValueError("carrier size must be at least 1")
-    limit = min(max_size, _SIZE_HOLD)
-    if size > limit:
-        raise CapExceeded(f"model size {size} exceeds the limit of {limit}")
+    _check_size("model size", size, max_size)
     return next(enumerate_total_models(sentences, size), None)
 
 
@@ -225,9 +230,7 @@ def embeds_into_mod_bounded(
     interpret p's signature together with any extra theory symbols.
     The bound is capped (held at 2^32).
     """
-    limit = min(cap, _SIZE_HOLD)
-    if max_size > limit:
-        raise CapExceeded(f"model size bound {max_size} exceeds the limit of {limit}")
+    _check_size("model size bound", max_size, cap)
     for size in range(1, max_size + 1):
         if size < len(p.carrier):
             continue  # no injection exists

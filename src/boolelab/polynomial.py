@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import MAX_VARS, CapExceeded, Value
+from .errors import MAX_VARS, CapExceeded, Value, Verdict
 from .terms import Add, Mul, Term, Var, fold
 
 Monomial = frozenset
@@ -453,7 +453,7 @@ def interpretability(p: MultilinearPoly) -> InterpretVerdict:
     return InterpretVerdict(CONDITIONAL, bad)
 
 
-class OracleVerdict(Value):
+class OracleVerdict(Verdict, Value):
     """Outcome of the 0/1-vertex consequence test.
 
     ``witness`` maps variables to bits at the lexicographically least
@@ -463,9 +463,6 @@ class OracleVerdict(Value):
 
     valid: bool
     witness: dict | None = None
-
-    def __bool__(self):
-        return self.valid
 
 
 def equation_difference(eq: tuple[Term, Term], max_pairs: int | None = None) -> MultilinearPoly:

@@ -21,19 +21,20 @@ from __future__ import annotations
 import re
 import sys
 
+from ._record import Record
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 _set = object.__setattr__
 
 
-class Term:
+class Term(Record):
     """Base class for the five node kinds below.
 
-    Nodes are immutable values written out by hand with ``__slots__``,
-    since terms are built and compared in every hot loop: a node equals
-    another of the same kind with equal fields, hashes as its field
-    tuple, prints as ``Kind(field=value, ...)``, and refuses assignment
-    and deletion.
+    Nodes are records (``_record.Record``) with ``__slots__``, since
+    terms are built and compared in every hot loop; an operator node
+    compares, hashes and prints on an explicit stack, so any depth is
+    fine.
 
     The one slot here, ``_form``, is not a field: ``polynomial.normalize``
     keeps a node's normal form in it, with the monomial pairs of its
@@ -45,38 +46,26 @@ class Term:
 
     __slots__ = ("_form",)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class Var(Term):
     __slots__ = ("name",)
+    _fields = ("name",)
 
     def __init__(self, name: str):
         if not _IDENT_RE.match(name):
             raise ValueError(f"bad variable name {name!r}")
         _set(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(name={self.name!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.name,)
+    def _values(self):
+        return (self.name,)
 
 
 class IntLit(Term):
     __slots__ = ("value",)
+    _fields = ("value",)
 
     def __init__(self, value: int):
         # The grammar has no negative literals; negate via 0 - t.
@@ -84,25 +73,15 @@ class IntLit(Term):
             raise ValueError("integer literals are nonnegative; write 0 - t")
         _set(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(value={self.value!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.value,)
+    def _values(self):
+        return (self.value,)
 
 
 class _Binary(Term):
     """An operator node over two terms: Add, Sub or Mul."""
 
     __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
         _set(self, "left", left)
@@ -151,9 +130,6 @@ class _Binary(Term):
             else:
                 out.append(repr(n))
         return "".join(out)
-
-    def __reduce__(self):
-        return self.__class__, (self.left, self.right)
 
 
 class _HashOf:
@@ -220,7 +196,7 @@ def parse_int(text: str) -> int:
     except ValueError:
         # a digit string fails only on the interpreter's digit limit;
         # errors is imported here, so that loading terms loads no other
-        # module
+        # module than _record
         from .errors import CapExceeded
 
         raise CapExceeded(

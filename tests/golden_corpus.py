@@ -17,7 +17,7 @@ Run as a script, under an interpreter where boolelab is installed::
 
 it runs each case as ``python -X dev -W error -m boolelab <argv>``
 under that interpreter, in a fresh work directory, with ``PYTHONPATH``
-and every ``BOOLELAB_*`` variable removed, ``COLUMNS=80`` and a limit
+and every ``BOOLELAB_*`` variable removed, ``COLUMNS=120`` and a limit
 of 10 s, and exits 1 if any case differs in its exit code, its stdout
 or its stderr, or runs past its limit.
 """
@@ -43,11 +43,13 @@ _TIMING = re.compile(r'^(time: .*| *"timing_ms": .*)\n', re.MULTILINE)
 
 def case_environ(environ) -> None:
     """Make the mapping ``environ`` the environment a case runs in: no
-    ``PYTHONPATH``, no ``BOOLELAB_*`` cap variable, and ``COLUMNS=80``,
-    since the usage text of a usage error wraps at the terminal width."""
+    ``PYTHONPATH``, no ``BOOLELAB_*`` cap variable, and ``COLUMNS=120``,
+    since argparse wraps usage and help text at the terminal width: at
+    80 columns CPython 3.13 wraps a usage line otherwise than 3.10-3.12
+    do, at 120 every version prints the same text."""
     for name in [n for n in environ if n == "PYTHONPATH" or n.startswith("BOOLELAB_")]:
         del environ[name]
-    environ["COLUMNS"] = "80"
+    environ["COLUMNS"] = "120"
 
 
 def _nest(depth: int, leaf: str = "x") -> str:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolelab import classes, cli
+from boolelab import algebra, classes, cli
+from boolelab.algebra import SatisfactionVerdict
 from boolelab.classes import ChiVerdict, SemanticVerdict
 from boolelab.cli import run
 from boolelab.counterexamples import cx_trace
@@ -803,6 +804,19 @@ def test_theorem_demo_reports_a_failing_embedding(capsys, monkeypatch):
         {"n": 2, "ok": False, "entries": 5},
         {"n": 3, "ok": True, "entries": 120},
     ]
+
+
+def test_theorem_demo_reports_a_law_failing_in_a_total_model(capsys, monkeypatch):
+    def holds_total(model, sentence):
+        return SatisfactionVerdict(False, {"x": "0", "y": "1"})
+
+    monkeypatch.setattr(algebra, "holds_total", holds_total)
+    code, out = invoke(capsys, ["theorem-demo"])
+    assert code == 1
+    assert "  total models of the two laws up to size 4: 1; x = y holds in NOT all\n" in out
+    code, doc = invoke_json(capsys, ["theorem-demo"])
+    assert code == 1
+    assert doc["data"]["principles_failure"]["sigma_holds_in_all_models"] is False
 
 
 def test_counterexample_cx_reports_a_valid_semantic_check(capsys, monkeypatch):

@@ -54,6 +54,10 @@ def test_import_loads_no_submodule():
     assert loaded_after("import boolelab") == set()
 
 
+def test_the_cli_loads_only_errors_before_a_command_runs():
+    assert loaded_after("import boolelab.cli") == {"cli", "errors"}
+
+
 def test_problem_files_load_without_the_symbolic_layers():
     assert loaded_after("import boolelab.problems") == {"errors", "horn", "problems", "terms"}
 
